@@ -31,6 +31,9 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class SaturationStats:
+    """How far a saturation got; for an inconclusive verdict, the values
+    reached when the cap fired (0 / 0 if it fired in the first basis)."""
+
     chain_length: int
     basis_size: int
     max_degree: int
@@ -83,10 +86,10 @@ def saturate(start, ops, point, limits=None) -> ZeroVerdict:
     if start.is_zero():
         return ZeroVerdict(Outcome.ZERO, stats=stats(0, 0))
 
+    chain, basis = 0, ()  # what an inconclusive verdict reports if buchberger raises
     try:
         basis = buchberger([start], order, limits)
         frontier = deque([(start, ())])
-        chain = 0
         while frontier:
             beta, word = frontier.popleft()
             for i, op in enumerate(ops):
@@ -111,6 +114,6 @@ def saturate(start, ops, point, limits=None) -> ZeroVerdict:
     except ResourceLimitExceeded as exc:
         return ZeroVerdict(
             Outcome.INCONCLUSIVE_RESOURCE_LIMIT,
-            stats=stats(-1, -1),
+            stats=stats(chain, len(basis)),
             detail=str(exc),
         )

@@ -25,7 +25,7 @@ from .errors import (
     NotComposable,
     NotWellPosed,
 )
-from .poly import Context, Derivation, Poly
+from .poly import Context, Derivation, Monomial, Poly
 from .series import TruncSeries, _exponents_of_degree
 
 
@@ -169,20 +169,21 @@ def coeff_via_lie(s: CdfSeries, n) -> Fraction:
 
 
 def _eval_on_tables(p: Poly, tables, d: int, N: int) -> TruncSeries:
-    out = TruncSeries.zero(d, N)
+    out = {}
     pows = {}
     for m, c in p.terms.items():
-        term = TruncSeries.const(c, d, N)
-        for v, e in m.exps:
-            key = (v, e)
+        term = TruncSeries.const(1, d, N)
+        for key in m.exps:
             if key not in pows:
+                v, e = key
                 acc = tables[v]
                 for _ in range(e - 1):
                     acc = acc * tables[v]
                 pows[key] = acc
             term = term * pows[key]
-        out = out + term
-    return out
+        for n, x in term.coeffs.items():
+            out[n] = out.get(n, 0) + c * x
+    return TruncSeries(d, N, out)
 
 
 def generator_tables(sys: CdfSystem, N: int):
@@ -452,22 +453,26 @@ def _restriction_of_poly(p: Poly, rec: MonoidRecognizer, target: Context, gname)
     sit at the identity, and products convolve over the monoid."""
     out = {}
     for mono, c in p.terms.items():
-        parts = {rec.identity: target.const(c)}
+        parts = {rec.identity: {Monomial(()): c}}
         for v, e in mono.exps:
+            copies = [
+                Monomial(((target.id_of(gname(v, m_f)), 1),)) for m_f in range(rec.size)
+            ]
             for _ in range(e):
                 nxt = {}
                 for m_acc, acc in parts.items():
-                    for m_f in range(rec.size):
-                        m_new = rec.add(m_acc, m_f)
-                        term = acc * target.var(gname(v, m_f))
-                        if m_new in nxt:
-                            nxt[m_new] = nxt[m_new] + term
-                        else:
-                            nxt[m_new] = term
+                    for m_f, x in enumerate(copies):
+                        bucket = nxt.setdefault(rec.add(m_acc, m_f), {})
+                        for k, a in acc.items():
+                            key = k * x
+                            bucket[key] = bucket.get(key, 0) + a
                 parts = nxt
-        for m, q in parts.items():
-            out[m] = out.get(m, target.zero()) + q
-    return {m: q for m, q in out.items() if not q.is_zero()}
+        for m, acc in parts.items():
+            bucket = out.setdefault(m, {})
+            for k, a in acc.items():
+                bucket[k] = bucket.get(k, 0) + a
+    pieces = {m: Poly(target, terms) for m, terms in out.items()}
+    return {m: q for m, q in pieces.items() if not q.is_zero()}
 
 
 def restrict_regular(s: CdfSeries, constraint) -> CdfSeries:

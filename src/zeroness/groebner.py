@@ -155,7 +155,7 @@ def _reduce(p: Poly, gens, order: MonomialOrder, budget: _Budget = None) -> Poly
     remainder = {}
     while heap:
         _, exps = heapq.heappop(heap)
-        m = Monomial(exps)
+        m = Monomial._from_sorted(exps)
         c = work.pop(m, None)
         if c is None or c == 0:
             continue

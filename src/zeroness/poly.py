@@ -87,8 +87,18 @@ class Monomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps=()):
-        self.exps = tuple(sorted((v, e) for v, e in exps if e != 0))
-        assert all(e > 0 for _, e in self.exps), self.exps
+        exps = tuple(sorted((v, e) for v, e in exps if e != 0))
+        if any(e < 0 for _, e in exps):
+            raise ValueError(f"negative exponent in monomial {exps}")
+        self.exps = exps
+
+    @classmethod
+    def _from_sorted(cls, exps: tuple) -> "Monomial":
+        """Wrap ``exps`` without checking it: callers guarantee that it is a
+        tuple of (variable id, exponent > 0) pairs sorted by variable id."""
+        m = object.__new__(cls)
+        m.exps = exps
+        return m
 
     def __hash__(self):
         return hash(self.exps)
@@ -110,10 +120,29 @@ class Monomial:
         return tuple(v for v, _ in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged.items())
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        # merge the two sorted tuples; exponents only grow, so stay positive
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            va, vb = a[i][0], b[j][0]
+            if va == vb:
+                out.append((va, a[i][1] + b[j][1]))
+                i += 1
+                j += 1
+            elif va < vb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return Monomial._from_sorted(tuple(out))
 
     def divides(self, other: "Monomial") -> bool:
         it = dict(other.exps)
@@ -265,7 +294,13 @@ class Poly:
     # Evaluation and substitution ----------------------------------------
 
     def eval(self, point) -> Fraction:
-        """Evaluate at a point indexed by variable id (full arity)."""
+        """Evaluate at a point indexed by variable id (full arity).
+
+        One pass over the terms.  Each power ``point[v] ** e`` is computed
+        once per (variable, exponent) pair, and a term is dropped at its
+        first zero factor; this is exact because every stored exponent is
+        positive, so a zero coordinate makes every power of it zero.
+        """
         if len(point) != len(self.ctx):
             from .errors import ArityMismatch
 
@@ -273,12 +308,20 @@ class Poly:
                 f"point has {len(point)} entries, context has {len(self.ctx)} variables"
             )
         point = [_as_fraction(v) for v in point]
+        powers = {}
         total = Fraction(0)
         for m, c in self.terms.items():
             val = c
-            for v, e in m.exps:
-                val *= point[v] ** e
-            total += val
+            for factor in m.exps:
+                x = powers.get(factor)
+                if x is None:
+                    v, e = factor
+                    x = powers[factor] = point[v] ** e
+                if not x:
+                    break
+                val *= x
+            else:
+                total += val
         return total
 
     def substitute(self, images: dict) -> "Poly":
@@ -303,13 +346,18 @@ class Poly:
 
             names = sorted(self.ctx.name_of(v) for v in missing)
             raise ArityMismatch(f"no image for variables {names}")
-        result = Poly(target, {})
+        out = {}
+        powers = {}
         for m, c in self.terms.items():
             term = Poly(target, {_ONE: c})
-            for v, e in m.exps:
-                term = term * images[v] ** e
-            result = result + term
-        return result
+            for factor in m.exps:
+                if factor not in powers:
+                    v, e = factor
+                    powers[factor] = images[v] ** e
+                term = term * powers[factor]
+            for k, x in term.terms.items():
+                out[k] = out.get(k, 0) + x
+        return Poly(target, out)
 
     def rename(self, target: Context, name_map=None) -> "Poly":
         """Transport into ``target`` by variable name (or via ``name_map``)."""
@@ -388,16 +436,34 @@ class Derivation:
         return self.images.get(vid, self.ctx.zero())
 
     def __call__(self, p: Poly) -> Poly:
+        """Apply the derivation: sum over terms c*m and variables v^e of m
+        of c*e * (m / v) * image(v).
+
+        One pass over the input terms, accumulating into one dict that
+        becomes the output polynomial (zero coefficients dropped once, at
+        the end).  Exponents are always positive, so m / v either lowers
+        the exponent of v or drops v when it reaches 0, and the result
+        stays a sorted tuple of positive exponents.
+        """
         if p.ctx is not self.ctx:
             from .errors import ContextMismatch
 
             raise ContextMismatch("derivation applied outside its context")
-        result = self.ctx.zero()
+        images = {v: img.terms for v, img in self.images.items() if img.terms}
+        out = {}
         for m, c in p.terms.items():
-            for v, e in m.exps:
-                img = self.images.get(v)
-                if img is None or img.is_zero():
+            exps = m.exps
+            for i, (v, e) in enumerate(exps):
+                img = images.get(v)
+                if img is None:
                     continue
-                rest = Monomial(tuple((w, f - 1 if w == v else f) for w, f in m.exps))
-                result = result + img * Poly(self.ctx, {rest: c * e})
-        return result
+                if e == 1:
+                    rest = Monomial._from_sorted(exps[:i] + exps[i + 1 :])
+                else:
+                    rest = Monomial._from_sorted(exps[:i] + ((v, e - 1),) + exps[i + 1 :])
+                ce = c * e
+                for im, ic in img.items():
+                    key = im * rest
+                    prev = out.get(key)
+                    out[key] = ic * ce if prev is None else prev + ic * ce
+        return Poly(self.ctx, out)

@@ -287,7 +287,7 @@ class TruncSeries:
             while len(ps) <= N:
                 ps.append(ps[-1] * gs[i])
             powers[i] = ps
-        out = TruncSeries.zero(d, N)
+        out = {}
         for n, c in self.coeffs.items():
             a, b = n[:d], n[d:]
             if any(bi > N for bi in b):
@@ -298,8 +298,9 @@ class TruncSeries:
             for i in range(k):
                 if b[i]:
                     term = term * powers[i][b[i]]
-            out = out + term.scale(factor)
-        return out
+            for m, x in term.coeffs.items():
+                out[m] = out.get(m, 0) + factor * x
+        return TruncSeries(d, N, out)
 
 
 def solve_implicit(F, d: int, k: int, N: int):

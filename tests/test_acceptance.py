@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 from oracles import shuffle_coefficient
 from test_cdf import (
@@ -32,9 +33,13 @@ from zeroness import constraints as K
 from zeroness import species as S
 from zeroness import wbpp as W
 from zeroness._saturation import Outcome
+from zeroness.formats import load_model
 from zeroness.groebner import GroebnerLimits
 from zeroness.poly import Context
 from zeroness.series import solve_implicit
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 class Budget:
@@ -136,6 +141,19 @@ def test_criterion_4_cdf_golden_sequences_both_routes():
             assert C.coeff_via_lie(s, (n,)) == GOLDEN[name][n], (name, n)
     elapsed = budget.check()
     _report(4, "five golden sequences agree via table DP and Lie folding", elapsed)
+
+
+def test_lie_folding_of_series_parallel_within_budget():
+    # the third Lie derivative of the compiled model has ~16k terms, so a
+    # derivation whose cost grows as terms in x terms out needs over half a
+    # minute here; one pass per result takes a few seconds
+    _, (_, expr, sorts), _ = load_model(str(MODELS / "series_parallel.spec"))
+    s = S.compile_species(expr, sorts)
+    budget = Budget(10.0)
+    value = C.coeff_via_lie(s, (3,))
+    assert value == C.coeff_table(s, 3)[(3,)] == 19
+    elapsed = budget.check()
+    _report(4, "series-parallel count 19 via Lie folding at n=3", elapsed)
 
 
 def test_criterion_5_cdf_zeroness_and_equivalences():

@@ -133,6 +133,11 @@ def test_resource_limit_exit_code():
     )
     assert code == 4
     assert out.startswith("INCONCLUSIVE_RESOURCE_LIMIT")
+    code, out, _ = run(
+        "--stats", "--max-degree", "3", "equiv", model("cayley.cdf"), model("cayley.cdf")
+    )
+    assert code == 4
+    assert "chain length: 1" in out and "basis size: 2" in out
 
 
 def test_verdict_under_tiny_caps_still_fine():

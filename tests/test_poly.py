@@ -73,6 +73,12 @@ def test_eval_is_homomorphism(ctx):
         point = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)]
         assert (p * q).eval(point) == p.eval(point) * q.eval(point)
         assert (p + q).eval(point) == p.eval(point) + q.eval(point)
+        # a zero coordinate kills the terms that contain it and no others
+        point[rng.randrange(2)] = Fraction(0)
+        assert (p * q).eval(point) == p.eval(point) * q.eval(point)
+        assert (p + q).eval(point) == p.eval(point) + q.eval(point)
+    x, y = ctx.var("x"), ctx.var("y")
+    assert (x * y + 2 * x + 3 * y**2 - 5).eval([0, Fraction(1, 2)]) == Fraction(-17, 4)
 
 
 def test_substitute_triple_product():
@@ -92,6 +98,8 @@ def test_substitute_identity_and_zero(ctx):
     assert p.substitute({0: x, 1: y}) == p
     q = x * (y + 1)
     assert q.substitute({0: ctx.zero(), 1: y}) == ctx.zero()
+    z = Context(["z"]).var("z")
+    assert (x + y).substitute({0: z, 1: -z}).terms == {}
 
 
 def test_substitute_missing_image(ctx):
@@ -115,6 +123,9 @@ def test_derivation_power_rule():
 def test_derivation_constant(ctx):
     d = Derivation(ctx, {0: ctx.var("x") ** 2, 1: ctx.one()})
     assert d(ctx.const(Fraction(22, 7))) == ctx.zero()
+    x, y = ctx.var("x"), ctx.var("y")
+    rotation = Derivation(ctx, {0: -y, 1: x})  # x d/dy - y d/dx
+    assert rotation(x**2 + y**2).terms == {}
 
 
 def test_derivation_leibniz_by_hand(ctx):
@@ -174,6 +185,13 @@ def test_ring_axioms(a, b, c):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+def test_monomial_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        Monomial(((0, -1),))
+    with pytest.raises(ValueError):
+        Monomial(((1, 2), (0, -3)))
 
 
 def test_degree_and_height_conventions(ctx):

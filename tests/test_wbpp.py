@@ -393,6 +393,12 @@ def test_resource_limits_inconclusive():
     verdict = W.zeroness(diff, limits=GroebnerLimits(max_degree=1))
     assert verdict.outcome is Outcome.INCONCLUSIVE_RESOURCE_LIMIT
     assert "max_degree" in verdict.detail
+    # stats say how far the saturation got when the cap fired
+    assert (verdict.stats.chain_length, verdict.stats.basis_size) == (1, 2)
+    # a cap hit inside the initial basis computation reports an empty chain
+    verdict = W.zeroness(diff, limits=GroebnerLimits(max_iterations=0))
+    assert verdict.outcome is Outcome.INCONCLUSIVE_RESOURCE_LIMIT
+    assert (verdict.stats.chain_length, verdict.stats.basis_size) == (0, 0)
 
 
 def test_exhaustive_one_nonterminal_sweep():
