@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import cdf, constraints, species
 from .errors import ParseError
+from .groebner import DEFAULT_LIMITS
 from .poly import Context, Poly
 from .wbpp import Wbpp
 
@@ -108,7 +109,14 @@ def _poly_factor(ts, ctx):
         exp = ts.next()
         if not exp.isdigit():
             ts.fail(f"exponent must be a number, got {exp!r}")
-        p = p ** int(exp)
+        n = int(exp)
+        # checked before expanding: a large power takes unbounded time
+        if n * p.degree > DEFAULT_LIMITS.max_degree:
+            ts.fail(
+                f"power of degree {n * p.degree} exceeds the degree cap "
+                f"{DEFAULT_LIMITS.max_degree}"
+            )
+        p = p ** n
     return -p if negate else p
 
 
@@ -473,6 +481,8 @@ def _series_factor(ts, system):
         if not exp.isdigit():
             ts.fail(f"exponent must be a number, got {exp!r}")
         n = int(exp)
+        if n > DEFAULT_LIMITS.max_degree:
+            ts.fail(f"exponent {n} exceeds the degree cap {DEFAULT_LIMITS.max_degree}")
         if isinstance(value, Poly):
             value = value ** n
         else:

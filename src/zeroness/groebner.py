@@ -11,6 +11,8 @@ an inconclusive verdict rather than a wrong one.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,36 +21,28 @@ from .poly import Monomial, Poly
 
 
 class MonomialOrder:
-    """A monomial order: graded-lex (default) or lex, with an optional
-    variable priority permutation (highest priority first)."""
+    """A monomial order: graded-lex (default) or lex, both with variable
+    id 0 highest."""
 
-    __slots__ = ("kind", "priority")
+    __slots__ = ("kind",)
 
     GRLEX = "grlex"
     LEX = "lex"
 
-    def __init__(self, kind=GRLEX, priority=None):
+    def __init__(self, kind=GRLEX):
         if kind not in (self.GRLEX, self.LEX):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
-        self.priority = tuple(priority) if priority is not None else None
 
     def key(self, m: Monomial, nvars: int):
-        prio = self.priority if self.priority is not None else range(nvars)
-        exps = tuple(m.exponent(v) for v in prio)
-        if self.kind == self.GRLEX:
-            return (m.degree, exps)
-        return exps
+        key = m.grlex_key(nvars)
+        return key if self.kind == self.GRLEX else key[1]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.priority == other.priority
-        )
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __hash__(self):
-        return hash((self.kind, self.priority))
+        return hash(self.kind)
 
     def __repr__(self):
         return f"MonomialOrder({self.kind!r})"
@@ -71,17 +65,28 @@ DEFAULT_LIMITS = GroebnerLimits()
 
 class GroebnerBasis:
     """A reduced Groebner basis: monic generators, no head divisible by
-    another head, every tail irreducible, sorted ascending by head."""
+    another head, every tail irreducible, sorted ascending by head.
 
-    __slots__ = ("ctx", "order", "generators")
+    ``entries`` holds (head, generator) pairs, where the head is the
+    generator's leading monomial under ``order``.  Heads are computed once,
+    when the basis is built, and stay in step with the generators: a basis
+    is never modified after construction, and reduction and completion read
+    heads from here instead of recomputing them.
+    """
 
-    def __init__(self, ctx, order: MonomialOrder, generators):
+    __slots__ = ("ctx", "order", "entries")
+
+    def __init__(self, ctx, order: MonomialOrder, entries):
         self.ctx = ctx
         self.order = order
-        self.generators = tuple(generators)
+        self.entries = tuple(entries)
+
+    @property
+    def generators(self):
+        return tuple(g for _, g in self.entries)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.entries)
 
     def __iter__(self):
         return iter(self.generators)
@@ -98,15 +103,11 @@ def leading_monomial(p: Poly, order: MonomialOrder) -> Monomial:
     return max(p.terms, key=lambda m: order.key(m, nv))
 
 
-def leading_coefficient(p: Poly, order: MonomialOrder) -> Fraction:
-    return p.terms[leading_monomial(p, order)]
-
-
-def monic(p: Poly, order: MonomialOrder) -> Poly:
-    if p.is_zero():
-        return p
-    c = leading_coefficient(p, order)
-    return p * (Fraction(1) / c)
+def _monic_entry(p: Poly, order: MonomialOrder):
+    """``(head, p / leading coefficient)`` for nonzero ``p``: the form in
+    which generators are kept."""
+    hm = leading_monomial(p, order)
+    return hm, p * (Fraction(1) / p.terms[hm])
 
 
 class _Budget:
@@ -133,35 +134,37 @@ def reduce(p: Poly, basis: GroebnerBasis, limits: "GroebnerLimits" = None) -> Po
     stored order.
     """
     limits = limits or DEFAULT_LIMITS
-    return _reduce(p, basis.generators, basis.order, _Budget(limits.max_iterations))
+    return _reduce(p, basis.entries, basis.order, _Budget(limits.max_iterations))
 
 
 def _neg_key(key):
     # component-wise negation inverts the lexicographic tuple order, so a
-    # min-heap pops the largest monomial first
-    if isinstance(key[-1], tuple):
-        return tuple(-k for k in key[:-1]) + (tuple(-e for e in key[-1]),)
-    return tuple(-k for k in key)
+    # min-heap pops the largest monomial first; a lex key over no
+    # variables is ()
+    if key and isinstance(key[-1], tuple):
+        return (-key[0], tuple([-e for e in key[1]]))
+    return tuple([-e for e in key])
 
 
-def _reduce(p: Poly, gens, order: MonomialOrder, budget: _Budget = None) -> Poly:
-    import heapq
-
+def _reduce(p: Poly, entries, order: MonomialOrder, budget: _Budget = None) -> Poly:
+    """Normal form of ``p`` by ``entries``, (head, monic generator) pairs."""
     nv = len(p.ctx)
-    heads = [(leading_monomial(g, order), g) for g in gens]
+    key = order.key
     work = dict(p.terms)
-    heap = [(_neg_key(order.key(m, nv)), m.exps) for m in work]
+    # A term cancelled to 0 stays in ``work``, so each monomial is queued at
+    # most once and no two heap entries share a key (the monomials are
+    # never compared).
+    heap = [(_neg_key(key(m, nv)), m) for m in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
-        _, exps = heapq.heappop(heap)
-        m = Monomial._from_sorted(exps)
-        c = work.pop(m, None)
-        if c is None or c == 0:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m)
+        if c == 0:
             continue
         if budget is not None:
             budget.spend()
-        for hm, g in heads:
+        for hm, g in entries:
             if hm.divides(m):
                 # work -= c * (m / hm) * g ; generators are monic, so the
                 # head term cancels exactly and is skipped below.  Every
@@ -170,118 +173,103 @@ def _reduce(p: Poly, gens, order: MonomialOrder, budget: _Budget = None) -> Poly
                 for gm, gc in g.terms.items():
                     if gm == hm:
                         continue
-                    key = gm * shift
-                    if key not in work:
-                        heapq.heappush(
-                            heap, (_neg_key(order.key(key, nv)), key.exps)
-                        )
-                        work[key] = -c * gc
+                    t = gm * shift
+                    prev = work.get(t)
+                    if prev is None:
+                        heapq.heappush(heap, (_neg_key(key(t, nv)), t))
+                        work[t] = -c * gc
                     else:
-                        val = work[key] - c * gc
-                        if val == 0:
-                            del work[key]
-                        else:
-                            work[key] = val
+                        work[t] = prev - c * gc
                 break
         else:
             remainder[m] = c
     return Poly(p.ctx, remainder)
 
 
-def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    lf, lg = leading_monomial(f, order), leading_monomial(g, order)
-    l = lf.lcm(lg)
+def _s_poly(lf, f: Poly, lg, g: Poly, l: Monomial) -> Poly:
     mf = Poly(f.ctx, {l / lf: Fraction(1)})
     mg = Poly(g.ctx, {l / lg: Fraction(1)})
     return mf * f - mg * g
 
 
-def _gm_update(gens, pairs, h, order):
-    """Gebauer-Moller pair update: add ``h`` (monic, reduced) to the basis
-    and rebuild the critical-pair set with the B/M/F criteria."""
+def _gm_update(gens, pairs, new, order, seq):
+    """Gebauer-Moller pair update: add ``new`` = (head, h), h monic and
+    reduced, to ``gens`` and return the critical-pair heap rebuilt with
+    the B/M/F criteria.
+
+    A pair is (lcm key, sequence number, lcm, (head, f), (head, g)); the
+    numbers come from ``seq`` and increase, so the heap pops the smallest
+    lcm first and breaks ties in insertion order.
+    """
+    hm, h = new
     nv = len(h.ctx)
-    lm = {id(g): leading_monomial(g, order) for g in gens}
-    lm_h = leading_monomial(h, order)
+    lcms = [hm.lcm(hg) for hg, _ in gens]
 
-    def pair_lcm(g):
-        return lm_h.lcm(lm[id(g)])
-
-    # M criterion: drop (h, g1) when another new pair's lcm strictly divides.
-    candidates = list(gens)
-    kept = []
-    for g1 in candidates:
-        l1 = pair_lcm(g1)
-        dominated = False
-        for g2 in candidates:
-            if g2 is g1:
-                continue
-            l2 = pair_lcm(g2)
-            if l2 != l1 and l2.divides(l1):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(g1)
+    # M criterion: drop (g1, h) when another new pair's lcm strictly divides.
+    kept = [
+        i
+        for i, l1 in enumerate(lcms)
+        if not any(j != i and l2 != l1 and l2.divides(l1) for j, l2 in enumerate(lcms))
+    ]
     # F criterion: among equal lcms keep one representative.
     seen = {}
-    for g in kept:
-        seen.setdefault(pair_lcm(g).exps, g)
-    kept = list(seen.values())
+    for i in kept:
+        seen.setdefault(lcms[i].exps, i)
     # Buchberger's coprimality criterion.
-    kept = [g for g in kept if not lm_h.coprime(lm[id(g)])]
+    kept = [i for i in seen.values() if not hm.coprime(gens[i][0])]
 
     # B criterion on old pairs.
-    surviving = []
-    for f, g in pairs:
-        l = lm[id(f)].lcm(lm[id(g)])
-        if not lm_h.divides(l) or lm_h.lcm(lm[id(f)]) == l or lm_h.lcm(lm[id(g)]) == l:
-            surviving.append((f, g))
-
-    gens.append(h)
-    surviving.extend((g, h) for g in kept)
+    surviving = [
+        pair
+        for pair in pairs
+        if not hm.divides(pair[2])
+        or hm.lcm(pair[3][0]) == pair[2]
+        or hm.lcm(pair[4][0]) == pair[2]
+    ]
+    surviving.extend(
+        (order.key(lcms[i], nv), next(seq), lcms[i], gens[i], new) for i in kept
+    )
+    heapq.heapify(surviving)
+    gens.append(new)
     return surviving
 
 
 def _interreduce(gens, order, budget=None):
-    gens = [monic(g, order) for g in gens if not g.is_zero()]
+    """Reduce each of ``gens``, (head, monic generator) pairs, by the
+    others until none changes; return them sorted ascending by head."""
+    gens = list(gens)
     changed = True
     while changed:
         changed = False
         for i in range(len(gens)):
-            g = gens[i]
-            others = gens[:i] + gens[i + 1 :]
-            r = _reduce(g, others, order, budget)
+            g = gens[i][1]
+            r = _reduce(g, gens[:i] + gens[i + 1 :], order, budget)
             if r.terms != g.terms:
                 changed = True
                 if r.is_zero():
                     gens.pop(i)
                 else:
-                    gens[i] = monic(r, order)
+                    gens[i] = _monic_entry(r, order)
                 break
-    nv = len(gens[0].ctx) if gens else 0
-    gens.sort(key=lambda g: order.key(leading_monomial(g, order), nv))
+    nv = len(gens[0][1].ctx) if gens else 0
+    gens.sort(key=lambda e: order.key(e[0], nv))
     return gens
 
 
-def _complete(gens, pairs, order, limits, budget):
+def _complete(gens, pairs, order, limits, budget, seq):
     """Run pair reductions until no critical pair is left."""
-    nv = len(gens[0].ctx) if gens else 0
     while pairs:
         budget.spend()
         # Normal strategy: smallest pair lcm in the order.
-        pairs.sort(
-            key=lambda fg: order.key(
-                leading_monomial(fg[0], order).lcm(leading_monomial(fg[1], order)), nv
-            )
-        )
-        f, g = pairs.pop(0)
-        h = _reduce(_s_poly(f, g, order), gens, order, budget)
+        _, _, l, (lf, f), (lg, g) = heapq.heappop(pairs)
+        h = _reduce(_s_poly(lf, f, lg, g, l), gens, order, budget)
         if h.is_zero():
             continue
         if h.degree > limits.max_degree:
             raise ResourceLimitExceeded("max_degree", h.degree, limits.max_degree)
         if len(gens) + 1 > limits.max_basis:
             raise ResourceLimitExceeded("max_basis", len(gens) + 1, limits.max_basis)
-        pairs = _gm_update(gens, pairs, monic(h, order), order)
+        pairs = _gm_update(gens, pairs, _monic_entry(h, order), order, seq)
     return gens
 
 
@@ -302,6 +290,7 @@ def buchberger(
         return GroebnerBasis(ctx, order, ())
     ctx = gens[0].ctx
     budget = _Budget(limits.max_iterations)
+    seq = itertools.count()
     basis, pairs = [], []
     for g in gens:
         h = _reduce(g, basis, order, budget)
@@ -309,8 +298,8 @@ def buchberger(
             continue
         if h.degree > limits.max_degree:
             raise ResourceLimitExceeded("max_degree", h.degree, limits.max_degree)
-        pairs = _gm_update(basis, pairs, monic(h, order), order)
-    basis = _complete(basis, pairs, order, limits, budget)
+        pairs = _gm_update(basis, pairs, _monic_entry(h, order), order, seq)
+    basis = _complete(basis, pairs, order, limits, budget, seq)
     return GroebnerBasis(ctx, order, _interreduce(basis, order, budget))
 
 
@@ -320,18 +309,20 @@ def extend(basis: GroebnerBasis, p: Poly, limits: GroebnerLimits = None) -> Groe
     Returns ``basis`` itself when ``p`` is already a member.
     """
     limits = limits or DEFAULT_LIMITS
+    order = basis.order
     budget = _Budget(limits.max_iterations)
-    h = _reduce(p, basis.generators, basis.order, budget)
+    h = _reduce(p, basis.entries, order, budget)
     if h.is_zero():
         return basis
     if h.degree > limits.max_degree:
         raise ResourceLimitExceeded("max_degree", h.degree, limits.max_degree)
     if len(basis) + 1 > limits.max_basis:
         raise ResourceLimitExceeded("max_basis", len(basis) + 1, limits.max_basis)
-    gens = list(basis.generators)
-    pairs = _gm_update(gens, [], monic(h, basis.order), basis.order)
-    gens = _complete(gens, pairs, basis.order, limits, budget)
-    return GroebnerBasis(basis.ctx, basis.order, _interreduce(gens, basis.order, budget))
+    gens = list(basis.entries)
+    seq = itertools.count()
+    pairs = _gm_update(gens, [], _monic_entry(h, order), order, seq)
+    gens = _complete(gens, pairs, order, limits, budget, seq)
+    return GroebnerBasis(basis.ctx, order, _interreduce(gens, order, budget))
 
 
 def ideal_contains(basis: GroebnerBasis, p: Poly) -> bool:

@@ -82,9 +82,14 @@ class Context:
 
 class Monomial:
     """A power product, stored as a tuple of (variable id, exponent > 0)
-    pairs sorted by variable id."""
+    pairs sorted by variable id.
 
-    __slots__ = ("exps",)
+    ``_key`` holds the graded key of :meth:`grlex_key` once it has been
+    asked for; constructors leave it unset, so building a monomial costs
+    nothing extra.
+    """
+
+    __slots__ = ("exps", "_key")
 
     def __init__(self, exps=()):
         exps = tuple(sorted((v, e) for v, e in exps if e != 0))
@@ -119,6 +124,24 @@ class Monomial:
     def variables(self):
         return tuple(v for v, _ in self.exps)
 
+    def grlex_key(self, nvars: int):
+        """``(degree, dense exponents)`` over variables ``0 .. nvars-1``.
+
+        Computed in one pass on first use and cached on the monomial.  The
+        cache holds one context size: a call with another ``nvars`` (the
+        shared constant monomial, say) recomputes and replaces it.
+        """
+        key = getattr(self, "_key", None)
+        if key is not None and len(key[1]) == nvars:
+            return key
+        dense = [0] * nvars
+        degree = 0
+        for v, e in self.exps:
+            dense[v] = e
+            degree += e
+        key = self._key = (degree, tuple(dense))
+        return key
+
     def __mul__(self, other: "Monomial") -> "Monomial":
         a, b = self.exps, other.exps
         if not b:
@@ -145,8 +168,18 @@ class Monomial:
         return Monomial._from_sorted(tuple(out))
 
     def divides(self, other: "Monomial") -> bool:
-        it = dict(other.exps)
-        return all(it.get(v, 0) >= e for v, e in self.exps)
+        # walk both sorted tuples: each variable of self must occur in
+        # other with at least its exponent
+        b = other.exps
+        n = len(b)
+        j = 0
+        for v, e in self.exps:
+            while j < n and b[j][0] < v:
+                j += 1
+            if j == n or b[j][0] != v or b[j][1] < e:
+                return False
+            j += 1
+        return True
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         merged = dict(self.exps)
@@ -383,12 +416,9 @@ def format_poly(p: Poly) -> str:
     if not p.terms:
         return "0"
 
-    def key(m):
-        exps = tuple(m.exponent(v) for v in range(len(p.ctx)))
-        return (m.degree, exps)
-
+    nvars = len(p.ctx)
     parts = []
-    for m in sorted(p.terms, key=key, reverse=True):
+    for m in sorted(p.terms, key=lambda m: m.grlex_key(nvars), reverse=True):
         c = p.terms[m]
         factors = [
             f"{p.ctx.name_of(v)}^{e}" if e > 1 else p.ctx.name_of(v) for v, e in m.exps

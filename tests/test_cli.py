@@ -1,6 +1,7 @@
 import io
 import os
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from zeroness.cli import main
@@ -158,6 +159,16 @@ def test_parse_error_exit_code(tmp_path):
     code, _, err = run("zero", str(bad))
     assert code == 2
     assert "error" in err
+
+
+def test_huge_power_is_a_parse_error(tmp_path):
+    bad = tmp_path / "power.cdf"
+    bad.write_text("vars x1\ngens s\ninit s = 0\nd/dx1 s = (s+1)^3000\nexpr = s\n")
+    start = time.perf_counter()
+    code, _, err = run("check", str(bad))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "degree cap" in err
 
 
 def test_missing_file_exit_code():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,19 @@ def test_parse_poly_rejects_implicit_multiplication(ctx):
 def test_parse_poly_rejects_unknowns(ctx):
     with pytest.raises(ParseError):
         F.parse_poly("z + 1", ctx)
+
+
+def test_parse_rejects_powers_beyond_the_degree_cap(ctx):
+    # expanding these would take tens of seconds; the cap is checked first
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="degree cap"):
+        F.parse_poly("(x+1)^3000", ctx)
+    with pytest.raises(ParseError, match="degree cap"):
+        F.parse_cdf("vars x1\ngens s\ninit s = 0\nd/dx1 s = (s+1)^3000\nexpr = s\n")
+    with pytest.raises(ParseError, match="degree cap"):
+        F.parse_cdf("vars x1\ngens s\ninit s = 0\nd/dx1 s = 1\nexpr = (s+1)^3000\n")
+    assert time.perf_counter() - start < 1
+    assert F.parse_poly("(x+1)^64", ctx).degree == 64
 
 
 def test_poly_print_parse_round_trip(ctx):

@@ -2,19 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import macaulay_member
 from zeroness.errors import ResourceLimitExceeded
 from zeroness.groebner import (
     GroebnerLimits,
     MonomialOrder,
+    _neg_key,
     buchberger,
     extend,
     ideal_contains,
     ideal_equal,
     reduce,
 )
-from zeroness.poly import Context
+from zeroness.poly import Context, Monomial
 
 
 @pytest.fixture
@@ -184,6 +187,9 @@ def test_lex_order_elimination():
     x, y = ctx.var("x"), ctx.var("y")
     gb = buchberger([x - y**2, x], MonomialOrder("lex"))
     assert ideal_contains(gb, y**2)
+    # a constant over no variables has the empty lex key
+    empty = Context([])
+    assert [str(g) for g in buchberger([empty.const(2)], MonomialOrder("lex"))] == ["1"]
 
 
 def test_basis_canonical_under_generator_permutation():
@@ -199,3 +205,64 @@ def test_basis_canonical_under_generator_permutation():
         forward = buchberger(gens)
         backward = buchberger(list(reversed(gens)))
         assert list(forward.generators) == list(backward.generators)
+
+
+def test_cyclic4_step_count_is_pinned():
+    # The step budget counts reduction steps and pair selections, so it
+    # decides which inputs end INCONCLUSIVE.  Cyclic-4 needs exactly 98
+    # steps; a change to pair order or interreduction shows up here.
+    ctx = Context(["a", "b", "c", "d"])
+    a, b, c, d = (ctx.var(n) for n in "abcd")
+    cyclic4 = [
+        a + b + c + d,
+        a * b + b * c + c * d + d * a,
+        a * b * c + b * c * d + c * d * a + d * a * b,
+        a * b * c * d - 1,
+    ]
+    gb = buchberger(cyclic4, limits=GroebnerLimits(max_iterations=98))
+    assert len(gb) == 7
+    with pytest.raises(ResourceLimitExceeded):
+        buchberger(cyclic4, limits=GroebnerLimits(max_iterations=97))
+
+
+@st.composite
+def built_monomials(draw):
+    """Monomials over ``nvars`` variables, built every way the library
+    builds them, each with its dense exponent vector worked out here."""
+    nvars = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).map(tuple)
+    how = st.sampled_from(["init", "from_sorted", "mul", "div", "lcm"])
+    items = []
+    for a, b, way in draw(st.lists(st.tuples(vec, vec, how), min_size=1, max_size=8)):
+        ma = Monomial(reversed(list(enumerate(a))))  # unsorted, with zero exponents
+        mb = Monomial._from_sorted(tuple((v, e) for v, e in enumerate(b) if e))
+        if way == "init":
+            items.append((ma, a))
+        elif way == "from_sorted":
+            items.append((mb, b))
+        elif way == "mul":
+            items.append((ma * mb, tuple(x + y for x, y in zip(a, b))))
+        elif way == "div":
+            items.append(((ma * mb) / mb, a))
+        else:
+            items.append((ma.lcm(mb), tuple(max(x, y) for x, y in zip(a, b))))
+    return nvars, items
+
+
+@given(built_monomials())
+@settings(max_examples=100, deadline=None)
+def test_order_key_matches_dense_reference(case):
+    nvars, items = case
+    references = {"grlex": lambda e: (sum(e), e), "lex": lambda e: e}
+    for kind, ref in references.items():
+        order = MonomialOrder(kind)
+        # the same monomials keyed in a larger context, then in theirs again
+        for n in (nvars, nvars + 2, nvars):
+            pad = (0,) * (n - nvars)
+            want = [e for _, e in sorted(items, key=lambda it: ref(it[1] + pad))]
+            got = [e for _, e in sorted(items, key=lambda it: order.key(it[0], n))]
+            assert got == want
+            heap_order = sorted(items, key=lambda it: _neg_key(order.key(it[0], n)))
+            assert [e for _, e in heap_order] == want[::-1]
+            for m, e in items:
+                assert order.key(m, n) == ref(e + pad)

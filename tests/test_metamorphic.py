@@ -6,10 +6,11 @@ acceptable, a wrong verdict never is, and nothing may hang.
 """
 
 import random
+from dataclasses import replace
 
 from test_cdf import _random_solvable_system
 from zeroness import cdf as C
-from zeroness._saturation import Outcome
+from zeroness._saturation import Outcome, SaturationStats
 from zeroness.groebner import GroebnerLimits
 
 LIMITS = GroebnerLimits(max_degree=12, max_basis=48, max_iterations=3000)
@@ -57,3 +58,28 @@ def test_budget_prevents_reduction_blowup():
     verdict = C.equivalent(C.c_add(f, g), C.c_add(g, f), limits=LIMITS)
     assert verdict.outcome is Outcome.INCONCLUSIVE_RESOURCE_LIMIT
     assert "max_iterations" in verdict.detail
+
+
+def test_step_counts_of_a_saturation_are_pinned():
+    # The c_mul identity of trial 3 in the first test decides ZERO when
+    # each basis computation may spend 243 steps and not with 242.  The
+    # step budget decides which queries end INCONCLUSIVE, so a change to
+    # pair order or interreduction shows up here rather than as a silent
+    # verdict shift.
+    rng = random.Random(5150)
+    for _ in range(4):
+        dim = rng.choice([1, 2])
+        f = _random_solvable_system(rng, dim)
+        g = _random_solvable_system(rng, dim)
+
+    def verdict(steps):
+        limits = replace(LIMITS, max_iterations=steps)
+        return C.equivalent(C.c_mul(f, g), C.c_mul(g, f), limits=limits)
+
+    decided = verdict(243)
+    assert decided.outcome is Outcome.ZERO and decided.detail == ""
+    assert decided.stats == SaturationStats(chain_length=2, basis_size=9, max_degree=4)
+    short = verdict(242)
+    assert short.outcome is Outcome.INCONCLUSIVE_RESOURCE_LIMIT
+    assert short.detail == "resource cap 'max_iterations' exceeded: exhausted > budget"
+    assert short.stats == SaturationStats(chain_length=1, basis_size=6, max_degree=4)
