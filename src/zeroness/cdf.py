@@ -12,13 +12,18 @@ engine with the Lie derivatives as the derivation family, and the closure
 constructions (arithmetic, inverse, strong composition, regular support
 restriction, implicit solving) each extend the system with fresh
 generators wired by the chain rule.
+
+A system is a view on the derivation system of ``_system``, read with
+axes for its ops (the Lie derivatives) and exponent vectors for witnesses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._saturation import ZeroVerdict, saturate
+from . import _system
+from ._saturation import ZeroVerdict
+from ._system import System, fresh, transport
 from .constraints import MonoidRecognizer, recognizer, validate
 from .errors import (
     ArityMismatch,
@@ -30,33 +35,46 @@ from .series import TruncSeries, _exponents_of_degree
 
 
 class CdfSystem:
-    """An autonomous system: kernel entries mention only generators."""
+    """An autonomous system: kernel entries mention only generators.
 
-    __slots__ = ("ctx", "dim", "base_names", "kernel", "init")
+    A view on a derivation system ``core``: axis j is op j-1, and the
+    initial vector is the point.
+    """
+
+    __slots__ = ("base_names", "core")
 
     def __init__(self, base_names, generators, kernel, init):
-        self.base_names = tuple(base_names)
-        self.dim = len(self.base_names)
-        if self.dim == 0:
-            raise ArityMismatch("a system needs at least one base variable")
-        if len(set(self.base_names)) != self.dim:
-            raise ArityMismatch("duplicate base variable names")
-        generators = list(generators)
-        if set(generators) & set(self.base_names):
-            raise ArityMismatch("generator names collide with base variables")
-        self.ctx = Context(generators)
-        k = len(generators)
-        grid = [[self.ctx.zero()] * self.dim for _ in range(k)]
-        for (gen, axis), p in kernel.items():
-            i = self.ctx.id_of(gen)
-            if not 1 <= axis <= self.dim:
-                raise ArityMismatch(f"axis {axis} out of range 1..{self.dim}")
-            grid[i][axis - 1] = p.rename(self.ctx)
-        self.kernel = tuple(tuple(row) for row in grid)
-        init = list(init)
-        if len(init) != k:
-            raise ArityMismatch("initial vector length differs from the order")
-        self.init = tuple(Fraction(c) for c in init)
+        ctx = Context(generators)
+        kernel = {key: p.rename(ctx) for key, p in kernel.items()}
+        self.base_names = _checked_base(base_names, ctx.names)
+        self.core = _kernel_core(ctx, self.dim, kernel, init)
+
+    @classmethod
+    def of(cls, base_names, core: System) -> "CdfSystem":
+        """The system with these axes over ``core``; nothing is copied."""
+        sys = object.__new__(cls)
+        sys.base_names = _checked_base(base_names, core.ctx.names)
+        sys.core = core
+        return sys
+
+    @property
+    def ctx(self) -> Context:
+        return self.core.ctx
+
+    @property
+    def dim(self) -> int:
+        return len(self.base_names)
+
+    @property
+    def init(self) -> tuple:
+        return self.core.point
+
+    @property
+    def kernel(self) -> tuple:
+        """``kernel[i][j]``: the entry of generator i along axis j + 1."""
+        return tuple(
+            tuple(op.image(i) for op in self.core.ops) for i in range(self.order)
+        )
 
     @property
     def order(self) -> int:
@@ -64,30 +82,51 @@ class CdfSystem:
 
     @property
     def degree(self) -> int:
-        return max((p.degree for row in self.kernel for p in row), default=0)
+        return max((op.degree for op in self.core.ops), default=0)
 
     def generator_names(self):
         return self.ctx.names
 
     def entry(self, gen, axis) -> Poly:
-        return self.kernel[self.ctx.id_of(gen)][axis - 1]
+        return self.core.ops[axis - 1].image(self.ctx.id_of(gen))
 
     def lie(self, j: int) -> Derivation:
         """The j-th Lie derivative L_j = sum_h P[h][j] * d/dy_h."""
         if not 1 <= j <= self.dim:
             raise ArityMismatch(f"axis {j} out of range 1..{self.dim}")
-        images = {
-            h: self.kernel[h][j - 1]
-            for h in range(self.order)
-            if not self.kernel[h][j - 1].is_zero()
-        }
-        return Derivation(self.ctx, images)
+        return self.core.ops[j - 1]
 
     def __repr__(self):
         return (
             f"CdfSystem(d={self.dim}, order={self.order}, "
             f"gens={list(self.ctx.names)})"
         )
+
+
+def _checked_base(base_names, generator_names) -> tuple:
+    base_names = tuple(base_names)
+    if not base_names:
+        raise ArityMismatch("a system needs at least one base variable")
+    if len(set(base_names)) != len(base_names):
+        raise ArityMismatch("duplicate base variable names")
+    if set(generator_names) & set(base_names):
+        raise ArityMismatch("generator names collide with base variables")
+    return base_names
+
+
+def _kernel_core(ctx: Context, dim: int, kernel, init) -> System:
+    """The core of a kernel given as (generator name, axis) -> entry, with
+    every entry already in ``ctx``."""
+    images = [{} for _ in range(dim)]
+    for (gen, axis), p in kernel.items():
+        i = ctx.id_of(gen)
+        if not 1 <= axis <= dim:
+            raise ArityMismatch(f"axis {axis} out of range 1..{dim}")
+        images[axis - 1][i] = p
+    init = [Fraction(c) for c in init]
+    if len(init) != len(ctx):
+        raise ArityMismatch("initial vector length differs from the order")
+    return System(ctx, [Derivation(ctx, im) for im in images], init)
 
 
 class CdfSeries:
@@ -126,24 +165,19 @@ def autonomize(base_names, generators, kernel, init) -> CdfSystem:
             name = p.ctx.name_of(v)
             if name in base_names:
                 occurring.add(name)
-    taken = set(generators)
+    ctx = Context(generators)
     trackers = {}
     for b in base_names:
         if b in occurring:
-            t = _fresh(f"t_{b}", taken)
-            taken.add(t)
-            trackers[b] = t
-    gen_names = list(generators) + [trackers[b] for b in base_names if b in trackers]
-    name_map = {g: g for g in generators}
-    name_map.update(trackers)
-    new_kernel = {}
-    for (g, a), p in kernel.items():
-        new_kernel[(g, a)] = _map_names(p, {n: name_map.get(n, n) for n in p.ctx.names})
+            trackers[b] = ctx.name_of(ctx.add(fresh(f"t_{b}", ctx)))
+    new_kernel = {
+        (g, a): p.rename(ctx, {n: trackers.get(n, n) for n in p.ctx.names})
+        for (g, a), p in kernel.items()
+    }
     for b, t in trackers.items():
-        axis = base_names.index(b) + 1
-        new_kernel[(t, axis)] = Context([t]).one()
+        new_kernel[(t, base_names.index(b) + 1)] = ctx.one()
     new_init = list(init) + [Fraction(0)] * len(trackers)
-    return CdfSystem(base_names, gen_names, new_kernel, new_init)
+    return CdfSystem.of(base_names, _kernel_core(ctx, len(base_names), new_kernel, new_init))
 
 
 # Coefficients ----------------------------------------------------------------
@@ -201,7 +235,7 @@ def generator_tables(sys: CdfSystem, N: int):
             for i in range(k):
                 if (i, j) not in cache:
                     cache[(i, j)] = _eval_on_tables(
-                        sys.kernel[i][j], snapshot, d, layer
+                        sys.lie(j + 1).image(i), snapshot, d, layer
                     )
                 val = cache[(i, j)][m]
                 if val != 0:
@@ -221,30 +255,10 @@ def coeff_table(s: CdfSeries, N: int) -> TruncSeries:
 def prune(s: CdfSeries) -> CdfSeries:
     """Drop generators the expression does not depend on (transitively
     through the kernel).  The denoted series is unchanged."""
-    sys = s.system
-    needed = set(s.expr.variables())
-    frontier = list(needed)
-    while frontier:
-        v = frontier.pop()
-        for col in sys.kernel[v]:
-            for w in col.variables():
-                if w not in needed:
-                    needed.add(w)
-                    frontier.append(w)
-    if len(needed) == sys.order:
+    core, (expr,) = _system.prune(s.system.core, [s.expr])
+    if core is s.system.core:
         return s
-    keep = sorted(needed)
-    names = [sys.ctx.name_of(v) for v in keep]
-    kernel = {}
-    for v in keep:
-        for j in range(sys.dim):
-            p = sys.kernel[v][j]
-            if not p.is_zero():
-                kernel[(sys.ctx.name_of(v), j + 1)] = p
-    trimmed = CdfSystem(
-        sys.base_names, names, kernel, [sys.init[v] for v in keep]
-    )
-    return CdfSeries(trimmed, s.expr.rename(trimmed.ctx))
+    return CdfSeries(CdfSystem.of(s.system.base_names, core), expr)
 
 
 def zeroness(s: CdfSeries, limits=None) -> ZeroVerdict:
@@ -255,9 +269,7 @@ def zeroness(s: CdfSeries, limits=None) -> ZeroVerdict:
     verdicts carry the witness monomial's exponent vector and the exact
     coefficient value there.
     """
-    s = prune(s)
-    ops = [s.system.lie(j) for j in range(1, s.dim + 1)]
-    verdict = saturate(s.expr, ops, s.system.init, limits)
+    verdict = _system.decide(s.system.core, s.expr, limits)
     if verdict.witness is not None:
         exponent = [0] * s.dim
         for i in verdict.witness:
@@ -268,46 +280,24 @@ def zeroness(s: CdfSeries, limits=None) -> ZeroVerdict:
     return verdict
 
 
-def merge(s1: CdfSystem, s2: CdfSystem):
-    """Disjoint union over a shared base; returns the union system and the
-    two generator name maps."""
-    if s1.dim != s2.dim:
-        raise ArityMismatch("systems over different base dimensions")
-    map1 = {g: f"{g}_1" for g in s1.ctx.names}
-    map2 = {g: f"{g}_2" for g in s2.ctx.names}
-    kernel = {}
-    for sys, nmap in ((s1, map1), (s2, map2)):
-        for g in sys.ctx.names:
-            for j in range(1, sys.dim + 1):
-                p = sys.entry(g, j)
-                if not p.is_zero():
-                    kernel[(nmap[g], j)] = _map_names(p, nmap)
-    union = CdfSystem(
-        s1.base_names,
-        [map1[g] for g in s1.ctx.names] + [map2[g] for g in s2.ctx.names],
-        kernel,
-        list(s1.init) + list(s2.init),
-    )
-    return union, map1, map2
-
-
-def _map_names(p: Poly, nmap) -> Poly:
-    target = Context([nmap[n] for n in p.ctx.names])
-    return p.rename(target, nmap)
-
-
-def _merge_series(s1: CdfSeries, s2: CdfSeries):
-    if s1.system is s2.system:
-        return s1.system, s1.expr, s2.expr
-    union, map1, map2 = merge(s1.system, s2.system)
-    e1 = _map_names(s1.expr, map1).rename(union.ctx)
-    e2 = _map_names(s2.expr, map2).rename(union.ctx)
-    return union, e1, e2
+def _shared(series_list):
+    """One system holding every series of the list, and each expression
+    moved into it: their own system when they all share one, else the
+    union of their systems, folded from the left."""
+    first = series_list[0].system
+    if all(s.system is first for s in series_list):
+        return first, [s.expr for s in series_list]
+    sys, exprs = first, [series_list[0].expr]
+    for s in series_list[1:]:
+        core, lift1, lift2 = _system.union(sys.core, s.system.core)
+        sys = CdfSystem.of(first.base_names, core)
+        exprs = [lift1(e) for e in exprs] + [lift2(s.expr)]
+    return sys, exprs
 
 
 def equivalent(s1: CdfSeries, s2: CdfSeries, limits=None) -> ZeroVerdict:
-    union, e1, e2 = _merge_series(s1, s2)
-    return zeroness(CdfSeries(union, e1 - e2), limits)
+    sys, (e1, e2) = _shared([s1, s2])
+    return zeroness(CdfSeries(sys, e1 - e2), limits)
 
 
 # Expression-level closure ------------------------------------------------------
@@ -318,13 +308,13 @@ def c_scale(s: CdfSeries, c) -> CdfSeries:
 
 
 def c_add(s1: CdfSeries, s2: CdfSeries) -> CdfSeries:
-    union, e1, e2 = _merge_series(s1, s2)
-    return CdfSeries(union, e1 + e2)
+    sys, (e1, e2) = _shared([s1, s2])
+    return CdfSeries(sys, e1 + e2)
 
 
 def c_mul(s1: CdfSeries, s2: CdfSeries) -> CdfSeries:
-    union, e1, e2 = _merge_series(s1, s2)
-    return CdfSeries(union, e1 * e2)
+    sys, (e1, e2) = _shared([s1, s2])
+    return CdfSeries(sys, e1 * e2)
 
 
 def c_derive(s: CdfSeries, j: int) -> CdfSeries:
@@ -333,37 +323,13 @@ def c_derive(s: CdfSeries, j: int) -> CdfSeries:
     return CdfSeries(s.system, s.system.lie(j)(s.expr))
 
 
-def _fresh(name, taken):
-    while name in taken:
-        name += "_"
-    return name
-
-
 def c_inverse(s: CdfSeries) -> CdfSeries:
     """Multiplicative inverse: appends one generator u with
     d/dx_j u = -(L_j p) u^2 and initial value 1/p(c)."""
-    p0 = s.value_at_origin()
-    if p0 == 0:
+    if s.value_at_origin() == 0:
         raise NotWellPosed("inverse of a series with zero constant term")
-    sys = s.system
-    u = _fresh("inv", set(sys.ctx.names))
-    names = list(sys.ctx.names) + [u]
-    kernel = {}
-    for g in sys.ctx.names:
-        for j in range(1, sys.dim + 1):
-            q = sys.entry(g, j)
-            if not q.is_zero():
-                kernel[(g, j)] = q
-    target = Context(names)
-    uvar = target.var(u)
-    for j in range(1, sys.dim + 1):
-        lp = sys.lie(j)(s.expr)
-        if not lp.is_zero():
-            kernel[(u, j)] = -(lp.rename(target)) * uvar * uvar
-    extended = CdfSystem(
-        sys.base_names, names, kernel, list(sys.init) + [Fraction(1) / p0]
-    )
-    return CdfSeries(extended, extended.ctx.var(u))
+    core, u = _system.inverse(s.system.core, s.expr, "inv")
+    return CdfSeries(CdfSystem.of(s.system.base_names, core), u)
 
 
 # Strong composition -------------------------------------------------------------
@@ -388,13 +354,14 @@ def compose_strong(f: CdfSeries, gs) -> CdfSeries:
         if g.dim != d:
             raise ArityMismatch("inner series over the wrong base dimension")
 
-    inner_sys, inner_exprs = _merge_all(gs)
+    inner_sys, inner_exprs = _shared(gs)
+    kernel = fsys.kernel
 
     for i in range(1, k + 1):
         if inner_exprs[i - 1].eval(inner_sys.init) != 0:
             column = d + i
             depends = any(
-                not fsys.kernel[h][column - 1].is_zero() for h in range(fsys.order)
+                not kernel[h][column - 1].is_zero() for h in range(fsys.order)
             )
             if depends:
                 raise NotComposable(
@@ -402,46 +369,26 @@ def compose_strong(f: CdfSeries, gs) -> CdfSeries:
                     f"inner series {i} has nonzero constant term"
                 )
 
-    outer_map = {g: f"{g}_o" for g in fsys.ctx.names}
-    inner_map = {g: f"{g}_i" for g in inner_sys.ctx.names}
-    names = [outer_map[g] for g in fsys.ctx.names] + [
-        inner_map[g] for g in inner_sys.ctx.names
-    ]
-    target = Context(names)
-
-    def emb_outer(p):
-        return _map_names(p, outer_map).rename(target)
-
-    def emb_inner(p):
-        return _map_names(p, inner_map).rename(target)
-
-    # d/dx_j (inner expression i), expressed over the inner generators.
-    inner_lies = [
-        [inner_sys.lie(j)(q) for j in range(1, d + 1)] for q in inner_exprs
-    ]
-
-    kernel = {}
-    for g in inner_sys.ctx.names:
-        for j in range(1, d + 1):
-            p = inner_sys.entry(g, j)
-            if not p.is_zero():
-                kernel[(inner_map[g], j)] = emb_inner(p)
-    for h, g in enumerate(fsys.ctx.names):
-        for j in range(1, d + 1):
+    # The outer system along the shared axes, merged with the inner one.
+    head = System(fsys.ctx, fsys.core.ops[:d], fsys.init)
+    merged, emb_outer, emb_inner = _system.union(head, inner_sys.core, ("_o", "_i"))
+    # d/dx_j (inner expression i), moved into the merged generators.
+    inner_lies = [[emb_inner(op(q)) for op in inner_sys.core.ops] for q in inner_exprs]
+    images = []
+    for j, op in enumerate(merged.ops):
+        column = dict(op.images)
+        for h in range(fsys.order):
             # Chain rule: the x_j-column plus every substituted column
             # weighted by the derivative of its inner series.
-            total = emb_outer(fsys.kernel[h][j - 1])
             for i in range(k):
-                b = fsys.kernel[h][d + i]
-                if b.is_zero():
-                    continue
-                total = total + emb_inner(inner_lies[i][j - 1]) * emb_outer(b)
-            if not total.is_zero():
-                kernel[(outer_map[g], j)] = total
+                b = kernel[h][d + i]
+                if not b.is_zero():
+                    total = column.get(h, merged.ctx.zero())
+                    column[h] = total + inner_lies[i][j] * emb_outer(b)
+        images.append(column)
 
-    init = list(fsys.init) + list(inner_sys.init)
-    composed = CdfSystem(fsys.base_names[:d], names, kernel, init)
-    return CdfSeries(composed, emb_outer(f.expr).rename(composed.ctx))
+    core = System(merged.ctx, [Derivation(merged.ctx, im) for im in images], merged.point)
+    return CdfSeries(CdfSystem.of(fsys.base_names[:d], core), emb_outer(f.expr))
 
 
 # Regular support restriction ------------------------------------------------------
@@ -491,11 +438,8 @@ def restrict_regular(s: CdfSeries, constraint) -> CdfSeries:
     names = [gname(v, m) for v in range(sys.order) for m in range(rec.size)]
     target = Context(names)
     kernel = {}
-    for v in range(sys.order):
-        for j in range(1, sys.dim + 1):
-            p = sys.kernel[v][j - 1]
-            if p.is_zero():
-                continue
+    for j, op in enumerate(sys.core.ops, start=1):
+        for v, p in op.images.items():
             pieces = _restriction_of_poly(p, rec, target, gname)
             step = rec.images[j - 1]
             for m in range(rec.size):
@@ -510,7 +454,7 @@ def restrict_regular(s: CdfSeries, constraint) -> CdfSeries:
     for v in range(sys.order):
         for m in range(rec.size):
             init.append(sys.init[v] if m == rec.identity else Fraction(0))
-    restricted = CdfSystem(sys.base_names, names, kernel, init)
+    restricted = CdfSystem.of(sys.base_names, _kernel_core(target, sys.dim, kernel, init))
 
     expr_pieces = _restriction_of_poly(s.expr, rec, restricted.ctx, gname)
     expr = restricted.ctx.zero()
@@ -521,20 +465,6 @@ def restrict_regular(s: CdfSeries, constraint) -> CdfSeries:
 
 
 # Implicit systems ------------------------------------------------------------------
-
-
-def _merge_all(series_list):
-    series_list = list(series_list)
-    first = series_list[0].system
-    if all(s.system is first for s in series_list):
-        return first, [s.expr for s in series_list]
-    acc_sys, exprs = first, [series_list[0].expr]
-    for s in series_list[1:]:
-        union, map1, map2 = merge(acc_sys, s.system)
-        exprs = [_map_names(e, map1).rename(union.ctx) for e in exprs]
-        exprs.append(_map_names(s.expr, map2).rename(union.ctx))
-        acc_sys = union
-    return acc_sys, exprs
 
 
 def _rat_matrix_nilpotent(mat) -> bool:
@@ -611,7 +541,7 @@ def check_well_posed(series_list):
     k given series are the unknowns.  Returns (ok, diagnostics)."""
     series_list = list(series_list)
     k = len(series_list)
-    sys, exprs = _merge_all(series_list)
+    sys, exprs = _shared(series_list)
     d = sys.dim - k
     problems = []
     if d < 1:
@@ -642,28 +572,23 @@ def implicit_solve(series_list, names=None):
     """
     series_list = [prune(s) for s in series_list]
     k = len(series_list)
-    sys, exprs = _merge_all(series_list)
+    sys, exprs = _shared(series_list)
     d = sys.dim - k
     ok, problems = check_well_posed([CdfSeries(sys, e) for e in exprs])
     if not ok:
         raise NotWellPosed("; ".join(problems))
 
-    taken = set(sys.ctx.names)
     if names is None:
         names = [f"y{i}" for i in range(1, k + 1)]
-    ynames = []
+    target = Context(sys.ctx.names)
     for nm in names:
-        nm = _fresh(nm, taken)
-        taken.add(nm)
-        ynames.append(nm)
-    dname = _fresh("detinv", taken)
-
-    all_names = list(sys.ctx.names) + ynames + [dname]
-    target = Context(all_names)
+        target.add(fresh(nm, target))
+    dname = target.name_of(target.add(fresh("detinv", target)))
+    ynames = target.names[sys.order : -1]
     delta = target.var(dname)
 
     def emb(p):
-        return p.rename(target)
+        return transport(p, target)
 
     # Jacobian of F in the unknowns, as polynomials over the old generators.
     jac_polys = [[sys.lie(d + j + 1)(exprs[i]) for j in range(k)] for i in range(k)]
@@ -687,13 +612,13 @@ def implicit_solve(series_list, names=None):
             column.append(delta * acc)
         dy.append(column)
 
+    kernel = sys.kernel
     new_kernel = {}
-    for g in sys.ctx.names:
-        gi = sys.ctx.id_of(g)
+    for gi, g in enumerate(sys.ctx.names):
         for j in range(1, d + 1):
-            total = emb(sys.kernel[gi][j - 1])
+            total = emb(kernel[gi][j - 1])
             for i in range(k):
-                b = sys.kernel[gi][d + i]
+                b = kernel[gi][d + i]
                 if not b.is_zero():
                     total = total + dy[j - 1][i] * emb(b)
             if not total.is_zero():
@@ -730,7 +655,7 @@ def implicit_solve(series_list, names=None):
         ]
     )
     init = list(sys.init) + [Fraction(0)] * k + [Fraction(1) / det0]
-    solved = CdfSystem(sys.base_names[:d], all_names, new_kernel, init)
+    solved = CdfSystem.of(sys.base_names[:d], _kernel_core(target, d, new_kernel, init))
     return tuple(CdfSeries(solved, solved.ctx.var(nm)) for nm in ynames)
 
 
@@ -744,39 +669,22 @@ def to_wbpp(s: CdfSeries):
     configuration."""
     from .wbpp import Wbpp
 
-    sys = s.system
-    transitions = {}
-    for g in sys.ctx.names:
-        for j in range(1, sys.dim + 1):
-            p = sys.entry(g, j)
-            if not p.is_zero():
-                transitions[(sys.base_names[j - 1], g)] = p
-    outputs = {g: sys.init[sys.ctx.id_of(g)] for g in sys.ctx.names}
-    return Wbpp(sys.base_names, sys.ctx.names, s.expr, transitions, outputs)
+    return Wbpp.of(s.system.base_names, s.system.core, s.expr)
 
 
-def from_wbpp(m, commutativity_check_length: int = 4) -> CdfSeries:
+def from_wbpp(m) -> CdfSeries:
     """Reinterpret a process model as a CDF series.
 
     Sound only for commutative series; the caller asserts commutativity
     and this fails fast when the bounded check finds a counterexample.
     """
-    from .wbpp import check_commutative_bounded
+    from .wbpp import COMMUTATIVITY_CHECK_LENGTH, check_commutative_bounded
 
-    counterexample = check_commutative_bounded(m, commutativity_check_length)
+    counterexample = check_commutative_bounded(m, COMMUTATIVITY_CHECK_LENGTH)
     if counterexample is not None:
         u, v = counterexample
         raise NotWellPosed(
             f"series is not commutative: words {u!r} and {v!r} have equal "
             f"Parikh image but different coefficients"
         )
-    kernel = {}
-    for j, letter in enumerate(m.alphabet, start=1):
-        for nt in m.ctx.names:
-            p = m.transition(letter, nt)
-            if not p.is_zero():
-                kernel[(nt, j)] = p
-    sys = CdfSystem(
-        m.alphabet, m.ctx.names, kernel, [m.output(nt) for nt in m.ctx.names]
-    )
-    return CdfSeries(sys, m.start.rename(sys.ctx))
+    return CdfSeries(CdfSystem.of(m.alphabet, m.core), m.start)

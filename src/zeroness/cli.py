@@ -194,13 +194,14 @@ def _check_one(path):
     if kind == "wbpp":
         lines.append(f"  parse: ok ({len(payload.nonterminals)} nonterminals, "
                      f"{len(payload.alphabet)} letters)")
-        counterexample = wbpp.check_commutative_bounded(payload, 4)
+        length = wbpp.COMMUTATIVITY_CHECK_LENGTH
+        counterexample = wbpp.check_commutative_bounded(payload, length)
         if counterexample is None:
-            lines.append("  commutativity (bounded, length 4): no counterexample")
+            lines.append(f"  commutativity (bounded, length {length}): no counterexample")
         else:
             u, v = counterexample
             lines.append(
-                f"  commutativity (bounded, length 4): counterexample {u} vs {v}"
+                f"  commutativity (bounded, length {length}): counterexample {u} vs {v}"
             )
     elif kind == "cdf":
         sys_ = payload.system

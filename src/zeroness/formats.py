@@ -68,6 +68,13 @@ class _Tokens:
     def fail(self, message):
         raise ParseError(message, self.line)
 
+    def cap_degree(self, degree):
+        """Fail before a product or power of this degree is expanded:
+        expanding one beyond the degree cap takes unbounded time."""
+        cap = DEFAULT_LIMITS.max_degree
+        if degree > cap:
+            self.fail(f"a polynomial of degree {degree} exceeds the degree cap {cap}")
+
 
 # Polynomial expressions -------------------------------------------------------
 
@@ -94,7 +101,9 @@ def _poly_term(ts, ctx):
     p = _poly_factor(ts, ctx)
     while ts.peek() == "*":
         ts.next()
-        p = p * _poly_factor(ts, ctx)
+        q = _poly_factor(ts, ctx)
+        ts.cap_degree(p.degree + q.degree)
+        p = p * q
     return p
 
 
@@ -110,12 +119,7 @@ def _poly_factor(ts, ctx):
         if not exp.isdigit():
             ts.fail(f"exponent must be a number, got {exp!r}")
         n = int(exp)
-        # checked before expanding: a large power takes unbounded time
-        if n * p.degree > DEFAULT_LIMITS.max_degree:
-            ts.fail(
-                f"power of degree {n * p.degree} exceeds the degree cap "
-                f"{DEFAULT_LIMITS.max_degree}"
-            )
+        ts.cap_degree(n * p.degree)
         p = p ** n
     return -p if negate else p
 
@@ -463,6 +467,7 @@ def _series_term(ts, system):
         ts.next()
         rhs = _series_factor(ts, system)
         if isinstance(value, Poly) and isinstance(rhs, Poly):
+            ts.cap_degree(value.degree + rhs.degree)
             value = value * rhs
         else:
             value = cdf.c_mul(_as_series(value, system), _as_series(rhs, system))
@@ -481,8 +486,8 @@ def _series_factor(ts, system):
         if not exp.isdigit():
             ts.fail(f"exponent must be a number, got {exp!r}")
         n = int(exp)
-        if n > DEFAULT_LIMITS.max_degree:
-            ts.fail(f"exponent {n} exceeds the degree cap {DEFAULT_LIMITS.max_degree}")
+        # a series power is n closure products, so n itself is capped too
+        ts.cap_degree(n * max(value.degree, 1) if isinstance(value, Poly) else n)
         if isinstance(value, Poly):
             value = value ** n
         else:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cdf
+from ._system import System, fresh, transport
 from .constraints import validate
 from .errors import ArityMismatch, NotWellPosed, SoundnessError
 from .poly import Context, Derivation, Poly
@@ -123,14 +124,8 @@ class _Builder:
         self.inits = []
         self.trackers = {}
 
-    def _fresh(self, stem):
-        name = stem
-        while name in self.ctx:
-            name += "_"
-        return name
-
     def reserve(self, stem, init) -> int:
-        vid = self.ctx.add(self._fresh(stem))
+        vid = self.ctx.add(fresh(stem, self.ctx))
         self.columns.append([None] * self.dim)
         self.inits.append(Fraction(init))
         return vid
@@ -147,13 +142,17 @@ class _Builder:
             self.trackers[j] = vid
         return self.ctx.var_by_id(self.trackers[j])
 
-    def lie(self, j: int, p: Poly) -> Poly:
+    def derivation(self, j: int) -> Derivation:
+        """L_j over the generators reserved so far."""
         images = {
             v: self.columns[v][j - 1]
             for v in range(len(self.columns))
             if self.columns[v][j - 1] is not None
         }
-        return Derivation(self.ctx, images)(p)
+        return Derivation(self.ctx, images)
+
+    def lie(self, j: int, p: Poly) -> Poly:
+        return self.derivation(j)(p)
 
     def origin_value(self, p: Poly) -> Fraction:
         return p.eval(self.inits)
@@ -161,40 +160,28 @@ class _Builder:
     def freeze(self, exprs):
         """Snapshot into an immutable system; returns CdfSeries, one per
         expression."""
-        kernel = {}
-        for vid in range(len(self.columns)):
-            for j in range(1, self.dim + 1):
-                p = self.columns[vid][j - 1]
-                if p is not None and not p.is_zero():
-                    kernel[(self.ctx.name_of(vid), j)] = p
-        system = cdf.CdfSystem(
-            tuple(f"x{i}" for i in range(1, self.dim + 1)),
-            self.ctx.names,
-            kernel,
-            self.inits,
+        ctx = Context(self.ctx.names)
+        ops = []
+        for j in range(1, self.dim + 1):
+            images = self.derivation(j).images
+            ops.append(Derivation(ctx, {v: transport(p, ctx) for v, p in images.items()}))
+        system = cdf.CdfSystem.of(
+            tuple(f"x{i}" for i in range(1, self.dim + 1)), System(ctx, ops, self.inits)
         )
-        return [cdf.CdfSeries(system, e.rename(system.ctx)) for e in exprs]
+        return [cdf.CdfSeries(system, transport(e, ctx)) for e in exprs]
 
     def absorb(self, series: cdf.CdfSeries) -> Poly:
         """Splice a standalone series into this scope: its generators are
-        appended (renamed when needed) and its expression is returned."""
+        appended in order (renamed when needed) and its expression is
+        returned."""
         if series.dim != self.dim:
             raise ArityMismatch("absorbed series over the wrong dimension")
-        sys = series.system
-        name_map = {}
-        for g in sys.ctx.names:
-            vid = self.reserve(g, sys.init[sys.ctx.id_of(g)])
-            name_map[g] = self.ctx.name_of(vid)
-        for g in sys.ctx.names:
-            for j in range(1, self.dim + 1):
-                p = sys.entry(g, j)
-                if not p.is_zero():
-                    self.set_column(
-                        self.ctx.id_of(name_map[g]), j, p.rename(self.ctx, name_map)
-                    )
-                else:
-                    self.set_column(self.ctx.id_of(name_map[g]), j, self.ctx.zero())
-        return series.expr.rename(self.ctx, name_map)
+        core = series.system.core
+        ids = [self.reserve(g, value) for g, value in zip(core.ctx.names, core.point)]
+        for j, op in enumerate(core.ops, start=1):
+            for v, p in op.images.items():
+                self.set_column(ids[v], j, transport(p, self.ctx, ids))
+        return transport(series.expr, self.ctx, ids)
 
 
 def _compile_into(e, b: _Builder, env) -> Poly:

@@ -7,6 +7,9 @@ as a derivation of the polynomial ring, so reading a word rewrites the
 configuration; the output map, extended as a ring homomorphism, extracts
 the word's coefficient.  Products of nonterminals model parallel
 composition and the recognised series multiply by shuffle product.
+
+A model is a view on the derivation system of ``_system``, read with
+letters for its ops and words for witnesses.
 """
 
 from __future__ import annotations
@@ -14,9 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._saturation import ZeroVerdict, saturate
+from ._saturation import ZeroVerdict
+from ._system import System, adjoin, decide, inverse, union
 from .errors import ArityMismatch, NotStandardForm, NotWellPosed
 from .poly import Context, Derivation, Poly
+
+# The length up to which the bounded commutativity semi-check compares
+# Parikh-equivalent words, wherever a process must be commutative.
+COMMUTATIVITY_CHECK_LENGTH = 4
 
 
 class Wbpp:
@@ -25,36 +33,60 @@ class Wbpp:
     ``start`` is a configuration (any polynomial over the nonterminals);
     models loaded from files start at a single nonterminal.  Transitions
     absent from ``transitions`` default to 0, keeping the table total.
+
+    A view on a derivation system ``core``: letter i names op i, and the
+    output weights are the point.
     """
 
-    __slots__ = ("ctx", "alphabet", "start", "delta", "outputs")
+    __slots__ = ("alphabet", "core", "start")
 
     def __init__(self, alphabet, nonterminals, start, transitions, outputs):
-        self.ctx = Context(nonterminals)
+        ctx = Context(nonterminals)
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters in alphabet")
-        if isinstance(start, Poly):
-            self.start = start.rename(self.ctx)
-        else:
-            self.start = self.ctx.var(start)
         images = {a: {} for a in self.alphabet}
         for (letter, nt), p in transitions.items():
             if letter not in images:
                 raise ArityMismatch(f"transition on unknown letter {letter!r}")
-            images[letter][self.ctx.id_of(nt)] = p.rename(self.ctx)
-        self.delta = {a: Derivation(self.ctx, imgs) for a, imgs in images.items()}
-        out = [Fraction(0)] * len(self.ctx)
+            images[letter][ctx.id_of(nt)] = p.rename(ctx)
+        out = [Fraction(0)] * len(ctx)
         for nt, w in outputs.items():
-            out[self.ctx.id_of(nt)] = Fraction(w)
-        self.outputs = tuple(out)
+            out[ctx.id_of(nt)] = Fraction(w)
+        ops = [Derivation(ctx, im) for im in images.values()]
+        self.core = System(ctx, ops, out)
+        self.start = self.config(start)
+
+    @classmethod
+    def of(cls, alphabet, core: System, start: Poly) -> "Wbpp":
+        """The model with these letters over ``core``, started at ``start``."""
+        m = object.__new__(cls)
+        m.alphabet, m.core, m.start = tuple(alphabet), core, start
+        return m
+
+    @property
+    def ctx(self) -> Context:
+        return self.core.ctx
+
+    @property
+    def delta(self) -> dict:
+        return dict(zip(self.alphabet, self.core.ops))
+
+    @property
+    def outputs(self) -> tuple:
+        return self.core.point
 
     @property
     def nonterminals(self):
         return self.ctx.names
 
+    def op(self, letter) -> Derivation:
+        if letter not in self.alphabet:
+            raise ArityMismatch(f"unknown letter {letter!r}")
+        return self.core.ops[self.alphabet.index(letter)]
+
     def transition(self, letter, nt) -> Poly:
-        return self.delta[letter].image(self.ctx.id_of(nt))
+        return self.op(letter).image(self.ctx.id_of(nt))
 
     def output(self, nt) -> Fraction:
         return self.outputs[self.ctx.id_of(nt)]
@@ -76,7 +108,7 @@ class Wbpp:
         else:
             letters = tuple(word)
         for a in letters:
-            if a not in self.delta:
+            if a not in self.alphabet:
                 raise ArityMismatch(f"unknown letter {a!r}")
         return letters
 
@@ -98,14 +130,12 @@ class Wbpp:
 
 
 def delta_letter(m: Wbpp, letter, config: Poly) -> Poly:
-    if letter not in m.delta:
-        raise ArityMismatch(f"unknown letter {letter!r}")
-    return m.delta[letter](config)
+    return m.op(letter)(config)
 
 
 def delta_word(m: Wbpp, word, config: Poly) -> Poly:
     for a in m.parse_word(word):
-        config = m.delta[a](config)
+        config = m.op(a)(config)
     return config
 
 
@@ -124,19 +154,25 @@ def coeffs_up_to(m: Wbpp, config: Poly, length: int) -> dict:
     One breadth-first sweep shares the rewritten configuration of every
     common prefix.  Keys are words rendered as strings (letters joined).
     """
-    table = {}
+    return {
+        m.render_word(word): output_value(m, cfg)
+        for level in _levels(m, config, length)
+        for word, cfg in level.items()
+    }
+
+
+def _levels(m: Wbpp, config: Poly, length: int):
+    """For each length 0..``length`` in turn, the dict from every word of
+    that length to the configuration it rewrites ``config`` to."""
     level = {(): config}
     for ell in range(length + 1):
-        for word, cfg in level.items():
-            table[m.render_word(word)] = output_value(m, cfg)
-        if ell == length:
-            break
-        nxt = {}
-        for word, cfg in level.items():
-            for a in m.alphabet:
-                nxt[word + (a,)] = m.delta[a](cfg)
-        level = nxt
-    return table
+        yield level
+        if ell < length:
+            level = {
+                word + (a,): op(cfg)
+                for word, cfg in level.items()
+                for a, op in zip(m.alphabet, m.core.ops)
+            }
 
 
 # Zeroness and equivalence ---------------------------------------------------
@@ -146,136 +182,69 @@ def zeroness(m: Wbpp, config: Poly = None, limits=None) -> ZeroVerdict:
     """ZERO iff the series of ``config`` (default: the start configuration)
     is identically zero; otherwise a shortest witness word and its value."""
     config = m.start if config is None else config
-    ops = [m.delta[a] for a in m.alphabet]
-    verdict = saturate(config, ops, m.outputs, limits)
+    verdict = decide(m.core, config, limits)
     if verdict.witness is not None:
         word = m.render_word([m.alphabet[i] for i in verdict.witness])
         return ZeroVerdict(verdict.outcome, word, verdict.value, verdict.stats)
     return verdict
 
 
-def _renamed(m: Wbpp, suffix: str):
-    names = [f"{nt}{suffix}" for nt in m.ctx.names]
-    mapping = dict(zip(m.ctx.names, names))
-    return names, mapping
-
-
 def disjoint_union(m1: Wbpp, m2: Wbpp):
-    """Union model over the united alphabet; nonterminals are renamed with
-    ``_1``/``_2`` suffixes.  Returns the model plus both name maps."""
-    alphabet = list(m1.alphabet) + [a for a in m2.alphabet if a not in m1.alphabet]
-    names1, map1 = _renamed(m1, "_1")
-    names2, map2 = _renamed(m2, "_2")
-    ctx = Context(names1 + names2)
-    transitions = {}
-    for m, nmap in ((m1, map1), (m2, map2)):
-        for a in m.alphabet:
-            for nt in m.ctx.names:
-                p = m.transition(a, nt)
-                if not p.is_zero():
-                    transitions[(a, nmap[nt])] = p.rename(ctx, nmap)
-    outputs = {map1[nt]: m1.output(nt) for nt in m1.ctx.names}
-    outputs.update({map2[nt]: m2.output(nt) for nt in m2.ctx.names})
-    model = Wbpp(alphabet, ctx.names, ctx.names[0], transitions, outputs)
-    return model, map1, map2
+    """Union model over the united alphabet, where a letter one model
+    lacks acts as 0 on its nonterminals; nonterminals are renamed with
+    ``_1``/``_2`` suffixes.  Returns the model, started at the first
+    start, and both start configurations moved into it."""
+    alphabet = m1.alphabet + tuple(a for a in m2.alphabet if a not in m1.alphabet)
+
+    def padded(m):
+        zero = Derivation(m.ctx, {})
+        ops = [m.op(a) if a in m.alphabet else zero for a in alphabet]
+        return System(m.ctx, ops, m.outputs)
+
+    core, lift1, lift2 = union(padded(m1), padded(m2))
+    s1, s2 = lift1(m1.start), lift2(m2.start)
+    return Wbpp.of(alphabet, core, s1), s1, s2
 
 
 def equivalent(m1: Wbpp, m2: Wbpp, limits=None) -> ZeroVerdict:
     """Zeroness of the difference of the two start configurations in the
     disjoint-union model (missing transitions read as 0)."""
-    union, map1, map2 = disjoint_union(m1, m2)
-    diff = m1.start.rename(union.ctx, map1) - m2.start.rename(union.ctx, map2)
-    return zeroness(union, diff, limits)
+    union_model, s1, s2 = disjoint_union(m1, m2)
+    return zeroness(union_model, s1 - s2, limits)
 
 
 # Closure constructions -------------------------------------------------------
 
 
-def _single_extension(m: Wbpp, fresh: str):
-    """Fresh-start skeleton: old model embedded unchanged plus a new
-    nonterminal; returns (names, old-name map, fresh name)."""
-    fresh_name = fresh
-    while fresh_name in m.ctx:
-        fresh_name += "_"
-    return list(m.ctx.names) + [fresh_name], fresh_name
+def _started_at(m: Wbpp, expr: Poly) -> Wbpp:
+    """``m`` plus a fresh start U standing for the configuration ``expr``:
+    Delta_a U = Delta_a expr for every letter, and U outputs F(expr)."""
+    core, u = adjoin(
+        m.core,
+        "U",
+        output_value(m, expr),
+        lambda lift, _: [lift(op(expr)) for op in m.core.ops],
+    )
+    return Wbpp.of(m.alphabet, core, u)
 
 
 def scale(m: Wbpp, c) -> Wbpp:
-    names, u = _single_extension(m, "U")
-    ctx = Context(names)
-    transitions = {}
-    for a in m.alphabet:
-        for nt in m.ctx.names:
-            p = m.transition(a, nt)
-            if not p.is_zero():
-                transitions[(a, nt)] = p.rename(ctx)
-        img = m.delta[a](m.start) * Fraction(c)
-        if not img.is_zero():
-            transitions[(a, u)] = img.rename(ctx)
-    outputs = {nt: m.output(nt) for nt in m.ctx.names}
-    outputs[u] = Fraction(c) * output_value(m, m.start)
-    return Wbpp(m.alphabet, names, u, transitions, outputs)
+    return _started_at(m, m.start * Fraction(c))
 
 
 def sum_(m1: Wbpp, m2: Wbpp) -> Wbpp:
-    union, map1, map2 = disjoint_union(m1, m2)
-    names, u = _single_extension(union, "U")
-    ctx = Context(names)
-    s1 = m1.start.rename(union.ctx, map1)
-    s2 = m2.start.rename(union.ctx, map2)
-    transitions = {}
-    for a in union.alphabet:
-        for nt in union.ctx.names:
-            p = union.transition(a, nt)
-            if not p.is_zero():
-                transitions[(a, nt)] = p.rename(ctx)
-        img = union.delta[a](s1) + union.delta[a](s2)
-        if not img.is_zero():
-            transitions[(a, u)] = img.rename(ctx)
-    outputs = {nt: union.output(nt) for nt in union.ctx.names}
-    outputs[u] = output_value(union, s1) + output_value(union, s2)
-    return Wbpp(union.alphabet, names, u, transitions, outputs)
+    union_model, s1, s2 = disjoint_union(m1, m2)
+    return _started_at(union_model, s1 + s2)
 
 
 def shuffle(m1: Wbpp, m2: Wbpp) -> Wbpp:
-    union, map1, map2 = disjoint_union(m1, m2)
-    names, u = _single_extension(union, "U")
-    ctx = Context(names)
-    s1 = m1.start.rename(union.ctx, map1)
-    s2 = m2.start.rename(union.ctx, map2)
-    transitions = {}
-    for a in union.alphabet:
-        for nt in union.ctx.names:
-            p = union.transition(a, nt)
-            if not p.is_zero():
-                transitions[(a, nt)] = p.rename(ctx)
-        img = union.delta[a](s1) * s2 + s1 * union.delta[a](s2)
-        if not img.is_zero():
-            transitions[(a, u)] = img.rename(ctx)
-    outputs = {nt: union.output(nt) for nt in union.ctx.names}
-    outputs[u] = output_value(union, s1) * output_value(union, s2)
-    return Wbpp(union.alphabet, names, u, transitions, outputs)
+    union_model, s1, s2 = disjoint_union(m1, m2)
+    return _started_at(union_model, s1 * s2)
 
 
 def derive(m: Wbpp, letter) -> Wbpp:
     """Model of the left quotient: coefficients shift by the given letter."""
-    if letter not in m.delta:
-        raise ArityMismatch(f"unknown letter {letter!r}")
-    names, u = _single_extension(m, "U")
-    ctx = Context(names)
-    after = m.delta[letter](m.start)
-    transitions = {}
-    for b in m.alphabet:
-        for nt in m.ctx.names:
-            p = m.transition(b, nt)
-            if not p.is_zero():
-                transitions[(b, nt)] = p.rename(ctx)
-        img = m.delta[b](after)
-        if not img.is_zero():
-            transitions[(b, u)] = img.rename(ctx)
-    outputs = {nt: m.output(nt) for nt in m.ctx.names}
-    outputs[u] = output_value(m, after)
-    return Wbpp(m.alphabet, names, u, transitions, outputs)
+    return _started_at(m, m.op(letter)(m.start))
 
 
 def shuffle_inverse(m: Wbpp) -> Wbpp:
@@ -285,24 +254,10 @@ def shuffle_inverse(m: Wbpp) -> Wbpp:
     From f x g = 1 the Leibniz rule forces d_a g = -(d_a f) x g^2, so the
     fresh start satisfies Delta_a U = -(Delta_a S) * U^2 with output 1/F(S).
     """
-    f0 = output_value(m, m.start)
-    if f0 == 0:
+    if output_value(m, m.start) == 0:
         raise NotWellPosed("shuffle inverse needs a nonzero empty-word coefficient")
-    names, u = _single_extension(m, "U")
-    ctx = Context(names)
-    uvar = ctx.var(u)
-    transitions = {}
-    for a in m.alphabet:
-        for nt in m.ctx.names:
-            p = m.transition(a, nt)
-            if not p.is_zero():
-                transitions[(a, nt)] = p.rename(ctx)
-        img = -(m.delta[a](m.start).rename(ctx)) * uvar * uvar
-        if not img.is_zero():
-            transitions[(a, u)] = img
-    outputs = {nt: m.output(nt) for nt in m.ctx.names}
-    outputs[u] = Fraction(1) / f0
-    return Wbpp(m.alphabet, names, u, transitions, outputs)
+    core, u = inverse(m.core, m.start, "U")
+    return Wbpp.of(m.alphabet, core, u)
 
 
 # BPP embedding ----------------------------------------------------------------
@@ -350,19 +305,15 @@ def bpp_to_wbpp(spec: BppSpec) -> Wbpp:
             if action not in alphabet:
                 alphabet.append(action)
     ctx = Context(names)
-    transitions = {}
-    for nt, summands in spec.rules.items():
-        by_action = {}
+    images = {a: {} for a in alphabet}
+    for vid, summands in enumerate(spec.rules.values()):
         for action, merge in summands:
             p = ctx.one()
             for x in merge:
                 p = p * ctx.var(x)
-            by_action[action] = by_action.get(action, ctx.zero()) + p
-        for action, p in by_action.items():
-            if not p.is_zero():
-                transitions[(action, nt)] = p
-    outputs = {nt: Fraction(0) for nt in names}
-    return Wbpp(alphabet, names, spec.start, transitions, outputs)
+            images[action][vid] = images[action].get(vid, ctx.zero()) + p
+    ops = [Derivation(ctx, images[a]) for a in alphabet]
+    return Wbpp.of(alphabet, System(ctx, ops, [Fraction(0)] * len(ctx)), ctx.var(spec.start))
 
 
 # Commutativity (bounded) -------------------------------------------------------
@@ -378,8 +329,7 @@ def check_commutative_bounded(m: Wbpp, length: int, config: Poly = None):
     """
     config = m.start if config is None else config
     table = {}
-    level = {(): config}
-    for ell in range(length + 1):
+    for level in _levels(m, config, length):
         for word, cfg in sorted(level.items()):
             key = tuple(sorted(word))
             value = output_value(m, cfg)
@@ -389,11 +339,4 @@ def check_commutative_bounded(m: Wbpp, length: int, config: Poly = None):
                     return (m.render_word(ref_word), m.render_word(word))
             else:
                 table[key] = (word, value)
-        if ell == length:
-            break
-        level = {
-            word + (a,): m.delta[a](cfg)
-            for word, cfg in level.items()
-            for a in m.alphabet
-        }
     return None

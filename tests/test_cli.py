@@ -171,6 +171,20 @@ def test_huge_power_is_a_parse_error(tmp_path):
     assert "degree cap" in err
 
 
+def test_huge_products_are_parse_errors(tmp_path):
+    for name, expr in (
+        ("nested", "((s+1)^32)^32"),
+        ("product", "*".join(["(s+1)^64"] * 16)),
+    ):
+        bad = tmp_path / f"{name}.cdf"
+        bad.write_text(f"vars x1\ngens s\ninit s = 0\nd/dx1 s = 1\nexpr = {expr}\n")
+        start = time.perf_counter()
+        code, _, err = run("zero", str(bad))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "degree cap" in err
+
+
 def test_missing_file_exit_code():
     code, _, err = run("zero", "/no/such/file.cdf")
     assert code == 2

@@ -52,6 +52,26 @@ def test_parse_rejects_powers_beyond_the_degree_cap(ctx):
     assert F.parse_poly("(x+1)^64", ctx).degree == 64
 
 
+# Degree 1024 built from pieces each within the cap: a power of a power,
+# and a product of sixteen capped powers.
+NESTED_POWER = "((s+1)^32)^32"
+LONG_PRODUCT = "*".join(["(s+1)^64"] * 16)
+
+
+def test_parse_rejects_products_beyond_the_degree_cap():
+    ctx = Context(["s"])
+    start = time.perf_counter()
+    for text in (NESTED_POWER, LONG_PRODUCT):
+        with pytest.raises(ParseError, match="degree cap"):
+            F.parse_poly(text, ctx)
+        with pytest.raises(ParseError, match="degree cap"):
+            F.parse_cdf(f"vars x1\ngens s\ninit s = 0\nd/dx1 s = {text}\nexpr = s\n")
+        with pytest.raises(ParseError, match="degree cap"):
+            F.parse_cdf(f"vars x1\ngens s\ninit s = 0\nd/dx1 s = 1\nexpr = {text}\n")
+    assert time.perf_counter() - start < 1
+    assert F.parse_poly("(s+1)^32*(s+1)^32", ctx).degree == 64
+
+
 def test_poly_print_parse_round_trip(ctx):
     import random
 

@@ -401,6 +401,49 @@ def test_resource_limits_inconclusive():
     assert (verdict.stats.chain_length, verdict.stats.basis_size) == (0, 0)
 
 
+def with_unreachable_nonterminals(fx=0):
+    """The running example plus Z and W, which the start never reaches;
+    Z sits between S and X, so pruning it renumbers X."""
+    ctx = Context(["S", "Z", "X", "W"])
+    S, Z, X, W_ = (ctx.var(n) for n in ("S", "Z", "X", "W"))
+    return W.Wbpp(
+        ["a", "b"],
+        ["S", "Z", "X", "W"],
+        "S",
+        {
+            ("a", "S"): X,
+            ("a", "X"): X**2,
+            ("b", "X"): ctx.one(),
+            ("a", "Z"): Z * X + W_,
+            ("b", "Z"): S,
+            ("a", "W"): W_**2,
+        },
+        {"S": 0, "Z": 1, "X": fx, "W": 2},
+    )
+
+
+@pytest.mark.parametrize(
+    "limits", [None, GroebnerLimits(max_degree=1), GroebnerLimits(max_iterations=3)]
+)
+def test_pruning_unreachable_nonterminals_keeps_verdicts(limits):
+    # deleting the unreachable nonterminals by hand must change nothing:
+    # outcome, witness, value, detail and stats
+    for fx in (0, 1):
+        full, trimmed = with_unreachable_nonterminals(fx), running_example(fx)
+        assert W.zeroness(full, limits=limits) == W.zeroness(trimmed, limits=limits)
+        for other in (running_example(), running_example(1)):
+            assert W.equivalent(full, other, limits) == W.equivalent(
+                trimmed, other, limits
+            )
+            assert W.equivalent(other, full, limits) == W.equivalent(
+                other, trimmed, limits
+            )
+    diff = W.sum_(full, W.scale(full, -1))
+    assert W.zeroness(diff, limits=limits) == W.zeroness(
+        W.sum_(trimmed, W.scale(trimmed, -1)), limits=limits
+    )
+
+
 def test_exhaustive_one_nonterminal_sweep():
     # every model with one nonterminal, two letters, and transitions drawn
     # from a small catalogue: the verdict must agree with the coefficient
