@@ -266,6 +266,17 @@ def cmd_check(args):
     return EXIT_MATCH if all_ok else EXIT_PRECONDITION
 
 
+def _bound(text):
+    """Type of ``coeffs --max``: an integer, at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="zeroness",
@@ -299,7 +310,7 @@ def build_parser():
 
     p = sub.add_parser("coeffs", help="print nonzero coefficients up to a bound")
     p.add_argument("file")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_bound, required=True)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("compile-species", help="compile a species to a .cdf file")

@@ -9,6 +9,7 @@ coefficients, unique representation per mathematical polynomial).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class Context:
@@ -217,6 +218,37 @@ def _as_fraction(c):
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
+def _over_common_denominator(*tables):
+    """Put the exact coefficients of several tables over one denominator.
+
+    Each table is a dict whose values are rationals.  Returns
+    ``(scaled, d)``: ``d`` is the lcm of every denominator, and
+    ``scaled[i]`` maps each key of ``tables[i]`` to the integer
+    ``value * d``.  The product-and-sum kernels accumulate these integers
+    and build one ``Fraction`` per output coefficient, so no partial
+    product pays for a gcd and an object of its own.
+    """
+    d = 1
+    for table in tables:
+        for c in table.values():
+            q = c.denominator
+            if d % q:
+                d = d // gcd(d, q) * q
+    scaled = [{k: c.numerator * (d // c.denominator) for k, c in t.items()} for t in tables]
+    return scaled, d
+
+
+def _times(left: dict, right: dict) -> dict:
+    """Product of two polynomials held as {Monomial: int} dicts; sums that
+    cancel to 0 are dropped."""
+    acc = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            m = m1 * m2
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
 class Poly:
     """A polynomial: map from :class:`Monomial` to nonzero ``Fraction``.
 
@@ -295,26 +327,24 @@ class Poly:
                 return self.ctx.zero()
             return Poly(self.ctx, {m: c * k for m, k in self.terms.items()})
         self._check(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.ctx, terms)
+        (left,), d1 = _over_common_denominator(self.terms)
+        (right,), d2 = _over_common_denominator(other.terms)
+        d = d1 * d2
+        return Poly(self.ctx, {m: Fraction(c, d) for m, c in _times(left, right).items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = self.ctx.one()
+        result = None  # the empty product: no multiplication by one
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return self.ctx.one() if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -329,10 +359,14 @@ class Poly:
     def eval(self, point) -> Fraction:
         """Evaluate at a point indexed by variable id (full arity).
 
-        One pass over the terms.  Each power ``point[v] ** e`` is computed
-        once per (variable, exponent) pair, and a term is dropped at its
-        first zero factor; this is exact because every stored exponent is
-        positive, so a zero coordinate makes every power of it zero.
+        One pass over the terms, in integers: with the coefficients over
+        one denominator ``dc`` and the coordinates over one denominator
+        ``q``, a term of degree k is an integer over ``dc * q**k``, and the
+        sums per degree are lifted to the top degree at the end.  Each
+        power of a coordinate numerator is computed once per (variable,
+        exponent) pair, and a term is dropped at its first zero factor;
+        this is exact because every stored exponent is positive, so a zero
+        coordinate makes every power of it zero.
         """
         if len(point) != len(self.ctx):
             from .errors import ArityMismatch
@@ -340,22 +374,28 @@ class Poly:
             raise ArityMismatch(
                 f"point has {len(point)} entries, context has {len(self.ctx)} variables"
             )
-        point = [_as_fraction(v) for v in point]
+        (coords,), q = _over_common_denominator(
+            {v: _as_fraction(x) for v, x in enumerate(point)}
+        )
+        (terms,), dc = _over_common_denominator(self.terms)
         powers = {}
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
+        by_degree = {}
+        for m, val in terms.items():
+            k = 0
             for factor in m.exps:
                 x = powers.get(factor)
                 if x is None:
                     v, e = factor
-                    x = powers[factor] = point[v] ** e
+                    x = powers[factor] = coords[v] ** e
                 if not x:
                     break
                 val *= x
+                k += factor[1]
             else:
-                total += val
-        return total
+                by_degree[k] = by_degree.get(k, 0) + val
+        top = max(by_degree, default=0)
+        total = sum(part * q ** (top - k) for k, part in by_degree.items())
+        return Fraction(total, dc * q**top)
 
     def substitute(self, images: dict) -> "Poly":
         """Homomorphic substitution; ``images`` maps variable id -> Poly.
@@ -379,18 +419,30 @@ class Poly:
 
             names = sorted(self.ctx.name_of(v) for v in missing)
             raise ArityMismatch(f"no image for variables {names}")
-        out = {}
+        # each power images[v] ** e once; then, in integers over one
+        # denominator q, a monomial with r such factors is a product over
+        # q**r, lifted to the largest r
         powers = {}
-        for m, c in self.terms.items():
-            term = Poly(target, {_ONE: c})
+        for m in self.terms:
             for factor in m.exps:
                 if factor not in powers:
                     v, e = factor
                     powers[factor] = images[v] ** e
-                term = term * powers[factor]
-            for k, x in term.terms.items():
-                out[k] = out.get(k, 0) + x
-        return Poly(target, out)
+        scaled, q = _over_common_denominator(*(p.terms for p in powers.values()))
+        powers = dict(zip(powers, scaled))
+        (terms,), dc = _over_common_denominator(self.terms)
+        top = max((len(m.exps) for m in terms), default=0)
+        one = {_ONE: 1}
+        out = {}
+        for m, c in terms.items():
+            term = one
+            for factor in m.exps:
+                term = powers[factor] if term is one else _times(term, powers[factor])
+            c *= q ** (top - len(m.exps))
+            for k, x in term.items():
+                out[k] = out.get(k, 0) + c * x
+        d = dc * q**top
+        return Poly(target, {k: Fraction(x, d) for k, x in out.items() if x})
 
     def rename(self, target: Context, name_map=None) -> "Poly":
         """Transport into ``target`` by variable name (or via ``name_map``)."""
@@ -469,19 +521,24 @@ class Derivation:
         """Apply the derivation: sum over terms c*m and variables v^e of m
         of c*e * (m / v) * image(v).
 
-        One pass over the input terms, accumulating into one dict that
-        becomes the output polynomial (zero coefficients dropped once, at
-        the end).  Exponents are always positive, so m / v either lowers
-        the exponent of v or drops v when it reaches 0, and the result
-        stays a sorted tuple of positive exponents.
+        One pass over the input terms, accumulating integer numerators
+        (input and images each over one common denominator) into one dict
+        that becomes the output polynomial: one ``Fraction`` per nonzero
+        output coefficient, zero sums dropped once, at the end.
+        Exponents are always positive, so m / v either lowers the exponent
+        of v or drops v when it reaches 0, and the result stays a sorted
+        tuple of positive exponents.
         """
         if p.ctx is not self.ctx:
             from .errors import ContextMismatch
 
             raise ContextMismatch("derivation applied outside its context")
         images = {v: img.terms for v, img in self.images.items() if img.terms}
+        scaled, di = _over_common_denominator(*images.values())
+        images = dict(zip(images, scaled))
+        (terms,), dp = _over_common_denominator(p.terms)
         out = {}
-        for m, c in p.terms.items():
+        for m, c in terms.items():
             exps = m.exps
             for i, (v, e) in enumerate(exps):
                 img = images.get(v)
@@ -494,6 +551,6 @@ class Derivation:
                 ce = c * e
                 for im, ic in img.items():
                     key = im * rest
-                    prev = out.get(key)
-                    out[key] = ic * ce if prev is None else prev + ic * ce
-        return Poly(self.ctx, out)
+                    out[key] = out.get(key, 0) + ic * ce
+        d = dp * di
+        return Poly(self.ctx, {m: Fraction(c, d) for m, c in out.items() if c})

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import ArityMismatch, NotWellPosed
+from .poly import _over_common_denominator
 
 
 def binom_vec(n, m) -> int:
@@ -67,6 +69,17 @@ class TruncSeries:
                 if c != 0:
                     table[n] = c
         self.coeffs = table
+
+    @classmethod
+    def _of(cls, dim, trunc, table):
+        """Wrap ``table`` without checks: callers guarantee exponents of
+        dimension ``dim`` and total degree <= ``trunc``, each mapped to a
+        nonzero ``Fraction``."""
+        f = object.__new__(cls)
+        f.dim = dim
+        f.trunc = trunc
+        f.coeffs = table
+        return f
 
     # Constructors ---------------------------------------------------------
 
@@ -154,19 +167,28 @@ class TruncSeries:
     # Multiplicative structure ------------------------------------------------
 
     def __mul__(self, other):
-        """Binomial convolution: (f*g)_n = sum_{m<=n} C(n,m) f_m g_{n-m}."""
+        """Binomial convolution: (f*g)_n = sum_{m<=n} C(n,m) f_m g_{n-m}.
+
+        Both tables go over one denominator each, the sums are taken in
+        integers, and each output coefficient becomes one ``Fraction``.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         N = min(self.trunc, other.trunc)
-        table = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                n = tuple(x + y for x, y in zip(a, b))
-                if sum(n) > N:
+        (left,), d1 = _over_common_denominator(self.coeffs)
+        (right,), d2 = _over_common_denominator(other.coeffs)
+        right = [(b, sum(b), cb) for b, cb in right.items()]
+        acc = {}
+        for a, ca in left.items():
+            room = N - sum(a)
+            for b, size, cb in right:
+                if size > room:
                     continue
-                table[n] = table.get(n, Fraction(0)) + binom_vec(n, a) * ca * cb
-        return TruncSeries(self.dim, N, table)
+                n = tuple(map(add, a, b))
+                acc[n] = acc.get(n, 0) + binom_vec(n, a) * ca * cb
+        d = d1 * d2
+        return TruncSeries._of(self.dim, N, {n: Fraction(c, d) for n, c in acc.items() if c})
 
     __rmul__ = __mul__
 

@@ -99,6 +99,14 @@ def test_coeffs_spec():
     assert out == "1 1\nx1 1\nx1^2 2\nx1^3 5\nx1^4 15\n"
 
 
+def test_coeffs_negative_bound_is_a_usage_error():
+    for name in ("running.wbpp", "cayley.cdf", "bell.spec"):
+        code, out, err = run("coeffs", model(name), "--max", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--max: must be at least 0, got -1" in err
+
+
 def test_equipotent_equal():
     code, out, _ = run("equipotent", model("seq.spec"), model("seq_via_fix.spec"))
     assert code == 0

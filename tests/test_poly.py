@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeroness.errors import ArityMismatch, ContextMismatch
@@ -208,3 +208,144 @@ def test_canonical_printing(ctx):
     assert str(p) == "x^2 + 1/2*x*y - y - 3"
     assert str(ctx.zero()) == "0"
     assert str(-x) == "-x"
+
+
+# The product-and-sum kernels accumulate integer numerators over one common
+# denominator.  Each must equal the plain-Fraction formula below, term for
+# term and in the same order, and store and return only Fraction values.
+
+KERNEL_CTX = Context(["x", "y", "z"])
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+monomials = st.lists(st.integers(0, 2), min_size=3, max_size=3).map(
+    lambda exps: Monomial(tuple(enumerate(exps)))
+)
+
+
+@st.composite
+def kernel_polys(draw, max_size=6):
+    terms = {}
+    for m, c in draw(st.lists(st.tuples(monomials, fractions), max_size=max_size)):
+        terms[m] = terms.get(m, Fraction(0)) + c
+    return Poly(KERNEL_CTX, terms)
+
+
+def kernel_poly(*terms):
+    return Poly(KERNEL_CTX, {Monomial(tuple(enumerate(e))): Fraction(c) for e, c in terms})
+
+
+def assert_all_fractions(values):
+    for c in values:
+        assert type(c) is Fraction and c != 0
+
+
+def reference_mul(p, q):
+    """Products of term dicts, as a list of (monomial, coefficient)."""
+    terms = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = m1 * m2
+            terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+    return [(m, c) for m, c in terms.items() if c != 0]
+
+
+def reference_substitute(p, images):
+    out = {}
+    for m, c in p.terms.items():
+        term = {Monomial(()): c}
+        for v, e in m.exps:
+            for _ in range(e):
+                term = dict(reference_mul(term, images[v].terms))
+        for k, x in term.items():
+            out[k] = out.get(k, Fraction(0)) + x
+    return {k: x for k, x in out.items() if x != 0}
+
+
+def reference_eval(p, point):
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        for v, e in m.exps:
+            c *= Fraction(point[v]) ** e
+        total += c
+    return total
+
+
+def reference_derive(d, p):
+    out = {}
+    for m, c in p.terms.items():
+        for v, e in m.exps:
+            if v not in d.images:
+                continue
+            rest = Monomial(tuple((u, f - (u == v)) for u, f in m.exps))
+            for im, ic in d.images[v].terms.items():
+                key = im * rest
+                out[key] = out.get(key, Fraction(0)) + c * e * ic
+    return [(m, c) for m, c in out.items() if c != 0]
+
+
+@given(kernel_polys(), kernel_polys())
+@example(kernel_poly(((1, 0, 0), Fraction(1, 2))), kernel_poly())
+@example(
+    kernel_poly(((1, 0, 0), 1), ((0, 1, 0), Fraction(2, 3))),
+    kernel_poly(((1, 0, 0), 1), ((0, 1, 0), Fraction(-2, 3))),
+)
+@settings(max_examples=150, deadline=None)
+def test_mul_kernel_matches_fraction_reference(p, q):
+    r = p * q
+    assert list(r.terms.items()) == reference_mul(p.terms, q.terms)
+    assert_all_fractions(r.terms.values())
+    cube = p**3
+    assert cube.terms == dict(reference_mul(p.terms, dict(reference_mul(p.terms, p.terms))))
+    assert_all_fractions(cube.terms.values())
+
+
+@given(kernel_polys(max_size=4), st.lists(kernel_polys(max_size=3), min_size=3, max_size=3))
+@example(
+    kernel_poly(((1, 0, 0), Fraction(1, 2)), ((0, 1, 0), Fraction(1, 2))),
+    [kernel_poly(((0, 0, 1), 1)), kernel_poly(((0, 0, 1), -1)), kernel_poly()],
+)
+@settings(max_examples=100, deadline=None)
+def test_substitute_kernel_matches_fraction_reference(p, images):
+    r = p.substitute(dict(enumerate(images)))
+    assert r.terms == reference_substitute(p, images)
+    assert_all_fractions(r.terms.values())
+
+
+points = st.lists(
+    st.one_of(st.just(0), st.integers(-3, 3), fractions), min_size=3, max_size=3
+)
+
+
+@given(kernel_polys(max_size=8), points)
+@example(kernel_poly(((2, 0, 0), 1), ((0, 1, 1), Fraction(-3, 4))), [0, 0, 0])
+@example(
+    kernel_poly(((1, 0, 0), Fraction(1, 3)), ((0, 1, 0), -1)),
+    [Fraction(3, 2), Fraction(1, 6), 5],
+)
+@settings(max_examples=150, deadline=None)
+def test_eval_kernel_matches_fraction_reference(p, point):
+    value = p.eval(point)
+    assert value == reference_eval(p, point)
+    assert type(value) is Fraction
+
+
+# the rotation x -> -y, y -> x kills x^2 + y^2
+ROTATION = {0: kernel_poly(((0, 1, 0), -1)), 1: kernel_poly(((1, 0, 0), 1))}
+
+
+@given(
+    st.dictionaries(st.integers(0, 2), kernel_polys(max_size=4), max_size=3),
+    kernel_polys(),
+)
+@example(ROTATION, kernel_poly(((2, 0, 0), Fraction(5, 7)), ((0, 2, 0), Fraction(5, 7))))
+@example(ROTATION, kernel_poly(((2, 0, 1), Fraction(-1, 2)), ((0, 2, 1), Fraction(-1, 2))))
+@example(
+    {0: kernel_poly(), 2: kernel_poly(((0, 0, 0), Fraction(1, 3)))},
+    kernel_poly(((1, 1, 0), 3)),
+)
+@settings(max_examples=150, deadline=None)
+def test_derivation_kernel_matches_fraction_reference(images, p):
+    d = Derivation(KERNEL_CTX, images)
+    r = d(p)
+    assert list(r.terms.items()) == reference_derive(d, p)
+    assert_all_fractions(r.terms.values())

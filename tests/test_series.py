@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zeroness.errors import ArityMismatch, NotWellPosed
 from zeroness.series import (
@@ -244,3 +246,53 @@ def test_truncation_is_min():
 def test_binom_and_factorial_vec():
     assert binom_vec((3, 2), (1, 1)) == 6
     assert factorial_vec((3, 2)) == 12
+
+
+# TruncSeries.__mul__ accumulates integer numerators over one common
+# denominator; it must equal the plain-Fraction convolution below, entry for
+# entry and in the same order, and store only Fraction values.
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def series_pairs(draw):
+    dim = draw(st.integers(1, 2))
+    exponents = st.lists(st.integers(0, 4), min_size=dim, max_size=dim).map(tuple)
+
+    def table():
+        trunc = draw(st.integers(0, 5))
+        coeffs = draw(st.dictionaries(exponents, fractions, max_size=8))
+        return TruncSeries(dim, trunc, coeffs)
+
+    return table(), table()
+
+
+def reference_mul(f, g):
+    N = min(f.trunc, g.trunc)
+    table = {}
+    for a, ca in f.coeffs.items():
+        for b, cb in g.coeffs.items():
+            n = tuple(x + y for x, y in zip(a, b))
+            if sum(n) > N:
+                continue
+            table[n] = table.get(n, Fraction(0)) + binom_vec(n, a) * ca * cb
+    return [(n, c) for n, c in table.items() if c != 0]
+
+
+@given(series_pairs())
+# (1 + x/2)(1 - x/2): the x coefficient cancels
+@example((
+    TruncSeries(1, 4, {(0,): 1, (1,): Fraction(1, 2)}),
+    TruncSeries(1, 4, {(0,): 1, (1,): Fraction(-1, 2)}),
+))
+# every product lies beyond the truncation: the zero table
+@example((TruncSeries(2, 5, {(3, 0): Fraction(2, 3)}), TruncSeries(2, 3, {(0, 2): 7})))
+@settings(max_examples=150, deadline=None)
+def test_mul_kernel_matches_fraction_reference(pair):
+    f, g = pair
+    h = f * g
+    assert h.trunc == min(f.trunc, g.trunc)
+    assert list(h.coeffs.items()) == reference_mul(f, g)
+    for c in h.coeffs.values():
+        assert type(c) is Fraction and c != 0
