@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cdf, formats, species, wbpp
 from ._saturation import Outcome
@@ -253,28 +252,31 @@ def _species_check(expr, sorts):
 
 
 def cmd_check(args):
-    results = []
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_check_one, args.files))
-    else:
-        results = [_check_one(path) for path in args.files]
     all_ok = True
-    for ok, report in results:
+    for path in args.files:
+        ok, report = _check_one(path)
         print(report)
         all_ok = all_ok and ok
     return EXIT_MATCH if all_ok else EXIT_PRECONDITION
 
 
-def _bound(text):
-    """Type of ``coeffs --max``: an integer, at least 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
-    return n
+def _at_least(low):
+    """An argparse type: an integer, at least ``low``."""
+
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
+
+
+# the type of every cap and of ``coeffs --max``
+_bound = _at_least(0)
 
 
 def build_parser():
@@ -284,11 +286,11 @@ def build_parser():
         "parallel processes, CDF power series, and constructible species.",
         allow_abbrev=False,
     )
-    parser.add_argument("--max-degree", type=int, default=64,
+    parser.add_argument("--max-degree", type=_bound, default=64,
                         help="cap on intermediate polynomial degree")
-    parser.add_argument("--max-basis", type=int, default=512,
+    parser.add_argument("--max-basis", type=_bound, default=512,
                         help="cap on Groebner basis size")
-    parser.add_argument("--timeout-iterations", type=int, default=200_000,
+    parser.add_argument("--timeout-iterations", type=_bound, default=200_000,
                         help="cap on pair-reduction steps")
     parser.add_argument("--stats", action="store_true",
                         help="print saturation statistics")
@@ -325,7 +327,9 @@ def build_parser():
 
     p = sub.add_parser("check", help="validate files and report diagnostics")
     p.add_argument("files", nargs="+")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1,
+                   help="accepted for compatibility; files are checked one "
+                   "after another, in the order given")
     p.set_defaults(func=cmd_check)
 
     return parser

@@ -15,9 +15,10 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import ResourceLimitExceeded
-from .poly import Monomial, Poly
+from .poly import Monomial, Poly, _over_common_denominator
 
 
 class MonomialOrder:
@@ -67,11 +68,12 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic generators, no head divisible by
     another head, every tail irreducible, sorted ascending by head.
 
-    ``entries`` holds (head, generator) pairs, where the head is the
-    generator's leading monomial under ``order``.  Heads are computed once,
-    when the basis is built, and stay in step with the generators: a basis
-    is never modified after construction, and reduction and completion read
-    heads from here instead of recomputing them.
+    ``entries`` holds the tuples of :func:`_monic_entry`: each generator
+    with its leading monomial under ``order`` and its tail in integers.
+    They are computed once, when the basis is built, and stay in step with
+    the generators: a basis is never modified after construction, and
+    reduction and completion read heads and tails from here instead of
+    recomputing them.
     """
 
     __slots__ = ("ctx", "order", "entries")
@@ -83,7 +85,7 @@ class GroebnerBasis:
 
     @property
     def generators(self):
-        return tuple(g for _, g in self.entries)
+        return tuple(e[1] for e in self.entries)
 
     def __len__(self):
         return len(self.entries)
@@ -104,10 +106,19 @@ def leading_monomial(p: Poly, order: MonomialOrder) -> Monomial:
 
 
 def _monic_entry(p: Poly, order: MonomialOrder):
-    """``(head, p / leading coefficient)`` for nonzero ``p``: the form in
-    which generators are kept."""
+    """``(head, g, tail, d)`` for nonzero ``p``: the form in which
+    generators are kept.
+
+    ``g`` is ``p`` divided by its leading coefficient, so
+    ``g = head + tail / d``: ``tail`` maps every other monomial of ``g`` to
+    its coefficient times ``d`` as an ``int``, and ``d`` is the lcm of
+    their denominators.
+    """
     hm = leading_monomial(p, order)
-    return hm, p * (Fraction(1) / p.terms[hm])
+    g = p * (Fraction(1) / p.terms[hm])
+    (tail,), d = _over_common_denominator(g.terms)
+    del tail[hm]
+    return hm, g, tail, d
 
 
 class _Budget:
@@ -147,10 +158,23 @@ def _neg_key(key):
 
 
 def _reduce(p: Poly, entries, order: MonomialOrder, budget: _Budget = None) -> Poly:
-    """Normal form of ``p`` by ``entries``, (head, monic generator) pairs."""
-    nv = len(p.ctx)
+    """Normal form of ``p`` by ``entries``, tuples of :func:`_monic_entry`."""
+    (work,), den = _over_common_denominator(p.terms)
+    return _normal_form(p.ctx, work, den, entries, order, budget)
+
+
+def _normal_form(ctx, work, den, entries, order, budget) -> Poly:
+    """Normal form of the polynomial ``work / den``, where ``work`` maps
+    monomials to ``int`` numerators over the one denominator ``den``.
+
+    Reduction runs on the numerators: a reducer ``head + tail / d`` with
+    ``d`` dividing the current numerator ``c`` subtracts ``c // d`` times
+    its shifted tail.  When ``d`` does not divide ``c``, every numerator
+    and ``den`` are first scaled by ``d / gcd(c, d)``.  The remainder gets
+    one ``Fraction`` per term, so a zero remainder builds none.
+    """
+    nv = len(ctx)
     key = order.key
-    work = dict(p.terms)
     # A term cancelled to 0 stays in ``work``, so each monomial is queued at
     # most once and no two heap entries share a key (the monomials are
     # never compared).
@@ -160,50 +184,66 @@ def _reduce(p: Poly, entries, order: MonomialOrder, budget: _Budget = None) -> P
     while heap:
         m = heapq.heappop(heap)[1]
         c = work.pop(m)
-        if c == 0:
+        if not c:
             continue
         if budget is not None:
             budget.spend()
-        for hm, g in entries:
+        for hm, _, tail, d in entries:
             if hm.divides(m):
-                # work -= c * (m / hm) * g ; generators are monic, so the
-                # head term cancels exactly and is skipped below.  Every
-                # introduced monomial is strictly below m in the order.
+                # work -= c * (m / hm) * (hm + tail / d): the head term
+                # cancels exactly, and every introduced monomial is
+                # strictly below m in the order.
+                if c % d:
+                    k = d // gcd(c, d)
+                    c *= k
+                    den *= k
+                    work = {t: x * k for t, x in work.items()}
+                    remainder = {t: x * k for t, x in remainder.items()}
+                q = c // d
                 shift = m / hm
-                for gm, gc in g.terms.items():
-                    if gm == hm:
-                        continue
+                for gm, gc in tail.items():
                     t = gm * shift
                     prev = work.get(t)
                     if prev is None:
                         heapq.heappush(heap, (_neg_key(key(t, nv)), t))
-                        work[t] = -c * gc
+                        work[t] = -q * gc
                     else:
-                        work[t] = prev - c * gc
+                        work[t] = prev - q * gc
                 break
         else:
             remainder[m] = c
-    return Poly(p.ctx, remainder)
+    return Poly(ctx, {m: Fraction(c, den) for m, c in remainder.items()})
 
 
-def _s_poly(lf, f: Poly, lg, g: Poly, l: Monomial) -> Poly:
-    mf = Poly(f.ctx, {l / lf: Fraction(1)})
-    mg = Poly(g.ctx, {l / lg: Fraction(1)})
-    return mf * f - mg * g
+def _s_poly_work(f, g, l: Monomial):
+    """``(work, den)`` of the S-polynomial of the entries ``f`` and ``g``
+    with head lcm ``l``: ``(l / hf) * f - (l / hg) * g``, whose heads
+    cancel, so only the two shifted tails are summed.  Terms that cancel
+    stay in ``work`` as 0."""
+    hf, _, ft, fd = f
+    hg, _, gt, gd = g
+    den = fd // gcd(fd, gd) * gd
+    a, b = den // fd, den // gd
+    sf, sg = l / hf, l / hg
+    work = {m * sf: a * c for m, c in ft.items()}
+    for m, c in gt.items():
+        t = m * sg
+        work[t] = work.get(t, 0) - b * c
+    return work, den
 
 
 def _gm_update(gens, pairs, new, order, seq):
-    """Gebauer-Moller pair update: add ``new`` = (head, h), h monic and
-    reduced, to ``gens`` and return the critical-pair heap rebuilt with
-    the B/M/F criteria.
+    """Gebauer-Moller pair update: add ``new``, the entry of a monic and
+    reduced generator, to ``gens`` and return the critical-pair heap
+    rebuilt with the B/M/F criteria.
 
-    A pair is (lcm key, sequence number, lcm, (head, f), (head, g)); the
+    A pair is (lcm key, sequence number, lcm, entry f, entry g); the
     numbers come from ``seq`` and increase, so the heap pops the smallest
     lcm first and breaks ties in insertion order.
     """
-    hm, h = new
-    nv = len(h.ctx)
-    lcms = [hm.lcm(hg) for hg, _ in gens]
+    hm = new[0]
+    nv = len(new[1].ctx)
+    lcms = [hm.lcm(e[0]) for e in gens]
 
     # M criterion: drop (g1, h) when another new pair's lcm strictly divides.
     kept = [
@@ -235,15 +275,17 @@ def _gm_update(gens, pairs, new, order, seq):
 
 
 def _interreduce(gens, order, budget=None):
-    """Reduce each of ``gens``, (head, monic generator) pairs, by the
-    others until none changes; return them sorted ascending by head."""
+    """Reduce each of ``gens``, entries of monic generators, by the others
+    until none changes; return them sorted ascending by head."""
     gens = list(gens)
     changed = True
     while changed:
         changed = False
         for i in range(len(gens)):
-            g = gens[i][1]
-            r = _reduce(g, gens[:i] + gens[i + 1 :], order, budget)
+            hm, g, tail, d = gens[i]
+            r = _normal_form(
+                g.ctx, {hm: d, **tail}, d, gens[:i] + gens[i + 1 :], order, budget
+            )
             if r.terms != g.terms:
                 changed = True
                 if r.is_zero():
@@ -261,8 +303,9 @@ def _complete(gens, pairs, order, limits, budget, seq):
     while pairs:
         budget.spend()
         # Normal strategy: smallest pair lcm in the order.
-        _, _, l, (lf, f), (lg, g) = heapq.heappop(pairs)
-        h = _reduce(_s_poly(lf, f, lg, g, l), gens, order, budget)
+        _, _, l, f, g = heapq.heappop(pairs)
+        work, den = _s_poly_work(f, g, l)
+        h = _normal_form(f[1].ctx, work, den, gens, order, budget)
         if h.is_zero():
             continue
         if h.degree > limits.max_degree:
@@ -298,6 +341,8 @@ def buchberger(
             continue
         if h.degree > limits.max_degree:
             raise ResourceLimitExceeded("max_degree", h.degree, limits.max_degree)
+        if len(basis) + 1 > limits.max_basis:
+            raise ResourceLimitExceeded("max_basis", len(basis) + 1, limits.max_basis)
         pairs = _gm_update(basis, pairs, _monic_entry(h, order), order, seq)
     basis = _complete(basis, pairs, order, limits, budget, seq)
     return GroebnerBasis(ctx, order, _interreduce(basis, order, budget))

@@ -495,9 +495,15 @@ class Derivation:
 
     Missing images default to 0, so a derivation is always total.  Applying
     it satisfies linearity and the Leibniz rule exactly.
+
+    ``_scaled`` holds the nonzero images over one common denominator,
+    ``({vid: {Monomial: int}}, d)``.  It is computed at the first
+    application and kept, since the images never change; a derivation that
+    is built but never applied (those of a closure's input systems are only
+    read) does not pay for it.
     """
 
-    __slots__ = ("ctx", "images")
+    __slots__ = ("ctx", "images", "_scaled")
 
     def __init__(self, ctx: Context, images: dict):
         for p in images.values():
@@ -507,6 +513,7 @@ class Derivation:
                 raise ContextMismatch("derivation image outside the context")
         self.ctx = ctx
         self.images = dict(images)
+        self._scaled = None
 
     @property
     def degree(self) -> int:
@@ -522,7 +529,8 @@ class Derivation:
         of c*e * (m / v) * image(v).
 
         One pass over the input terms, accumulating integer numerators
-        (input and images each over one common denominator) into one dict
+        (input and images each over one common denominator, the images'
+        computed once) into one dict
         that becomes the output polynomial: one ``Fraction`` per nonzero
         output coefficient, zero sums dropped once, at the end.
         Exponents are always positive, so m / v either lowers the exponent
@@ -533,9 +541,11 @@ class Derivation:
             from .errors import ContextMismatch
 
             raise ContextMismatch("derivation applied outside its context")
-        images = {v: img.terms for v, img in self.images.items() if img.terms}
-        scaled, di = _over_common_denominator(*images.values())
-        images = dict(zip(images, scaled))
+        if self._scaled is None:
+            nonzero = {v: img.terms for v, img in self.images.items() if img.terms}
+            scaled, di = _over_common_denominator(*nonzero.values())
+            self._scaled = dict(zip(nonzero, scaled)), di
+        images, di = self._scaled
         (terms,), dp = _over_common_denominator(p.terms)
         out = {}
         for m, c in terms.items():

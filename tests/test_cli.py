@@ -4,6 +4,8 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from zeroness.cli import main
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
@@ -105,6 +107,37 @@ def test_coeffs_negative_bound_is_a_usage_error():
         assert code == 2
         assert out == ""
         assert "--max: must be at least 0, got -1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("--max-degree", "-1", "zero", "sin2cos2.cdf"),
+            "--max-degree: must be at least 0, got -1",
+        ),
+        (("--max-basis", "-1", "zero", "sin2cos2.cdf"), "--max-basis: must be at least 0, got -1"),
+        (
+            ("--timeout-iterations", "-5", "zero", "sin2cos2.cdf"),
+            "--timeout-iterations: must be at least 0, got -5",
+        ),
+        (("check", "--jobs", "-2", "sin.cdf"), "--jobs: must be at least 1, got -2"),
+    ],
+    ids=["max-degree", "max-basis", "timeout-iterations", "jobs"],
+)
+def test_invalid_cap_is_a_usage_error(argv, message):
+    argv = [model(a) if a.endswith(".cdf") else a for a in argv]
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_zero_basis_cap_is_inconclusive():
+    # the one input generator already exceeds a basis cap of 0
+    code, out, _ = run("--max-basis", "0", "zero", model("sin2cos2.cdf"))
+    assert code == 4
+    assert out == "INCONCLUSIVE_RESOURCE_LIMIT (resource cap 'max_basis' exceeded: 1 > 0)\n"
 
 
 def test_equipotent_equal():

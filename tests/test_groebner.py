@@ -1,23 +1,31 @@
+import heapq
+import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import macaulay_member
+from zeroness import groebner
 from zeroness.errors import ResourceLimitExceeded
 from zeroness.groebner import (
     GroebnerLimits,
     MonomialOrder,
+    _Budget,
+    _gm_update,
     _neg_key,
     buchberger,
     extend,
     ideal_contains,
     ideal_equal,
+    leading_monomial,
     reduce,
 )
-from zeroness.poly import Context, Monomial
+from zeroness.poly import Context, Monomial, Poly
 
 
 @pytest.fixture
@@ -181,6 +189,17 @@ def test_basis_cap_raises():
         buchberger([x * y - z, y * z - x, x * z - y], limits=limits)
 
 
+def test_basis_cap_counts_input_generators(ctx):
+    # coprime heads make no S-pair, so only the loop over the input
+    # generators can see the basis outgrow the cap
+    x, y = ctx.var("x"), ctx.var("y")
+    with pytest.raises(ResourceLimitExceeded):
+        buchberger([x], limits=GroebnerLimits(max_basis=0))
+    with pytest.raises(ResourceLimitExceeded):
+        buchberger([x, y], limits=GroebnerLimits(max_basis=1))
+    assert len(buchberger([x, y], limits=GroebnerLimits(max_basis=2))) == 2
+
+
 def test_lex_order_elimination():
     # lex with x > y eliminates x: the ideal <x - y^2, x> contains y^2.
     ctx = Context(["x", "y"])
@@ -266,3 +285,229 @@ def test_order_key_matches_dense_reference(case):
             assert [e for _, e in heap_order] == want[::-1]
             for m, e in items:
                 assert order.key(m, n) == ref(e + pad)
+
+
+# The Groebner layer reduces integer numerators over one tracked
+# denominator.  It must give what the plain-Fraction division and
+# completion below give, term for term and in the same order, spend the
+# same reduction steps, and store only Fraction coefficients.
+
+
+def ref_entry(p, order):
+    hm = leading_monomial(p, order)
+    return hm, p * (Fraction(1) / p.terms[hm])
+
+
+def ref_reduce(p, entries, order, budget):
+    """Normal form of ``p`` by ``entries``, (head, monic generator) pairs."""
+    nv = len(p.ctx)
+    key = order.key
+    work = dict(p.terms)
+    heap = [(_neg_key(key(m, nv)), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m)
+        if c == 0:
+            continue
+        budget.spend()
+        for hm, g in entries:
+            if hm.divides(m):
+                shift = m / hm
+                for gm, gc in g.terms.items():
+                    if gm == hm:
+                        continue
+                    t = gm * shift
+                    prev = work.get(t)
+                    if prev is None:
+                        heapq.heappush(heap, (_neg_key(key(t, nv)), t))
+                        work[t] = -c * gc
+                    else:
+                        work[t] = prev - c * gc
+                break
+        else:
+            remainder[m] = c
+    return Poly(p.ctx, remainder)
+
+
+def ref_s_poly(lf, f, lg, g, l):
+    mf = Poly(f.ctx, {l / lf: Fraction(1)})
+    mg = Poly(g.ctx, {l / lg: Fraction(1)})
+    return mf * f - mg * g
+
+
+def ref_complete(gens, pairs, order, budget, seq):
+    while pairs:
+        budget.spend()
+        _, _, l, (lf, f), (lg, g) = heapq.heappop(pairs)
+        h = ref_reduce(ref_s_poly(lf, f, lg, g, l), gens, order, budget)
+        if not h.is_zero():
+            pairs = _gm_update(gens, pairs, ref_entry(h, order), order, seq)
+    return gens
+
+
+def ref_interreduce(gens, order, budget):
+    gens = list(gens)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(gens)):
+            g = gens[i][1]
+            r = ref_reduce(g, gens[:i] + gens[i + 1 :], order, budget)
+            if r.terms != g.terms:
+                changed = True
+                if r.is_zero():
+                    gens.pop(i)
+                else:
+                    gens[i] = ref_entry(r, order)
+                break
+    nv = len(gens[0][1].ctx) if gens else 0
+    gens.sort(key=lambda e: order.key(e[0], nv))
+    return gens
+
+
+def ref_buchberger(gens, order, budget):
+    seq = itertools.count()
+    basis, pairs = [], []
+    for g in gens:
+        h = ref_reduce(g, basis, order, budget)
+        if not h.is_zero():
+            pairs = _gm_update(basis, pairs, ref_entry(h, order), order, seq)
+    basis = ref_complete(basis, pairs, order, budget, seq)
+    return ref_interreduce(basis, order, budget)
+
+
+def ref_extend(entries, p, order, budget):
+    h = ref_reduce(p, entries, order, budget)
+    if h.is_zero():
+        return entries
+    gens = list(entries)
+    seq = itertools.count()
+    pairs = _gm_update(gens, [], ref_entry(h, order), order, seq)
+    gens = ref_complete(gens, pairs, order, budget, seq)
+    return ref_interreduce(gens, order, budget)
+
+
+@contextmanager
+def recorded_budgets():
+    """Collect every step budget the library makes while the block runs."""
+    made = []
+
+    class Recorded(_Budget):
+        __slots__ = ()
+
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    with mock.patch.object(groebner, "_Budget", Recorded):
+        yield made
+
+
+def capped(run):
+    try:
+        return run()
+    except ResourceLimitExceeded:
+        return None
+
+
+def assert_same_polys(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert list(g.terms.items()) == list(w.terms.items())
+        for c in g.terms.values():
+            assert type(c) is Fraction and c != 0
+
+
+REFERENCE_CTXS = {n: Context(["x", "y", "z"][:n]) for n in (0, 2, 3)}
+
+
+def ref_poly(nvars, terms):
+    """The polynomial of ``terms``, (exponents, numerator, denominator)."""
+    out = {}
+    for exps, num, den in terms:
+        m = Monomial(tuple(enumerate(exps)))
+        out[m] = out.get(m, Fraction(0)) + Fraction(num, den)
+    return Poly(REFERENCE_CTXS[nvars], out)
+
+
+@st.composite
+def reduction_cases(draw):
+    kind = draw(st.sampled_from(["grlex", "lex"]))
+    nvars = draw(st.sampled_from([2, 3]))  # no variables: the last @example
+    exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+    term = st.tuples(exps, st.integers(-6, 6), st.integers(1, 12))
+    gens = draw(st.lists(st.lists(term, min_size=1, max_size=4), min_size=1, max_size=3))
+    p = draw(st.lists(term, max_size=6))
+    limit = draw(st.sampled_from([40, 400]))
+    return kind, nvars, gens, p, limit
+
+
+@given(reduction_cases())
+# a reducer with d == 1: x^2 + y
+@example(("grlex", 2, [[((2, 0), 1, 1), ((0, 1), 1, 1)]], [((3, 0), 5, 3)], 400))
+# (x - y/2)(x + y/3) reduces to zero by x - y/2
+@example(
+    (
+        "grlex",
+        2,
+        [[((1, 0), 1, 1), ((0, 1), -1, 2)]],
+        [((2, 0), 1, 1), ((1, 1), -1, 6), ((0, 2), -1, 6)],
+        400,
+    )
+)
+# x + y by y - z/2: x is already in the remainder when the numerator 1 of y,
+# which the reducer's d = 2 does not divide, forces a rescale
+@example(
+    (
+        "lex",
+        3,
+        [[((0, 1, 0), 1, 1), ((0, 0, 1), -1, 2)]],
+        [((1, 0, 0), 1, 1), ((0, 1, 0), 1, 1)],
+        400,
+    )
+)
+# S(x^2 + xy, xy + y^2) = y(x^2 + xy) - x(xy + y^2): the tails cancel as well
+@example(
+    ("grlex", 2, [[((2, 0), 1, 1), ((1, 1), 1, 1)], [((1, 1), 1, 1), ((0, 2), 1, 1)]], [], 400)
+)
+# lex over no variables: every key is ()
+@example(("lex", 0, [[((), 3, 2)]], [((), 5, 7)], 400))
+@settings(max_examples=200, deadline=None)
+def test_groebner_layer_matches_fraction_reference(case):
+    kind, nvars, gens, p, limit = case
+    order = MonomialOrder(kind)
+    limits = GroebnerLimits(max_iterations=limit)
+    ctx = REFERENCE_CTXS[nvars]
+    gens = [ref_poly(nvars, g) for g in gens]
+    p = ref_poly(nvars, p)
+
+    budget = _Budget(limit)
+    want = capped(lambda: ref_buchberger([g for g in gens if not g.is_zero()], order, budget))
+    with recorded_budgets() as made:
+        got = capped(lambda: buchberger(gens, order, limits, ctx=ctx))
+    assert sum(limit - b.left for b in made) == limit - budget.left
+    if want is None:
+        assert got is None
+        return
+    assert_same_polys(got.generators, [g for _, g in want])
+
+    budget = _Budget(limit)
+    want_nf = capped(lambda: ref_reduce(p, want, order, budget))
+    with recorded_budgets() as made:
+        got_nf = capped(lambda: reduce(p, got, limits))
+    assert [b.left for b in made] == [budget.left]
+    assert (got_nf is None) == (want_nf is None)
+    if got_nf is not None:
+        assert_same_polys([got_nf], [want_nf])
+
+    budget = _Budget(limit)
+    want_ext = capped(lambda: ref_extend(want, p, order, budget))
+    with recorded_budgets() as made:
+        got_ext = capped(lambda: extend(got, p, limits))
+    assert [b.left for b in made] == [budget.left]
+    assert (got_ext is None) == (want_ext is None)
+    if got_ext is not None:
+        assert (got_ext is got) == (want_ext is want)
+        assert_same_polys(got_ext.generators, [g for _, g in want_ext])
