@@ -4,6 +4,10 @@ This is the termination and membership engine behind the zeroness
 procedures: ideal membership is decided by reduction against a reduced
 Groebner basis, and saturation loops extend bases incrementally.
 
+Inside the layer a monomial is one ``int`` (see :class:`_Packing`), so
+the order is integer comparison, a product is a sum and divisibility is a
+mask test; polynomials enter and leave as :class:`~zeroness.poly.Poly`.
+
 All computations carry resource caps; hitting one raises
 :class:`~zeroness.errors.ResourceLimitExceeded`, which callers surface as
 an inconclusive verdict rather than a wrong one.
@@ -14,6 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd
 
@@ -64,28 +69,115 @@ class GroebnerLimits:
 DEFAULT_LIMITS = GroebnerLimits()
 
 
+# Bits per variable field; the top bit of each field is its guard.
+_FIELD = 32
+_MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+
+
+class _Packing:
+    """Monomials over ``nvars`` variables as single ints, for one order.
+
+    Variable ``v`` owns the ``_FIELD``-bit field at ``shifts[v]``, variable
+    0 highest, and under grlex the total degree sits above them all, so
+    comparing two packed ints compares the monomials in the order.  No
+    stored exponent sets the top (guard) bit of its field.  Hence the
+    product of two monomials is the sum of their ints, and that sum has
+    overflowed a field iff it sets a guard bit; ``h`` divides ``m`` iff
+    ``((m | guards) - h) & guards == guards``, since each field's guard
+    absorbs its own borrow.
+    """
+
+    __slots__ = ("shifts", "top", "unit", "guards", "exps")
+
+    def __init__(self, graded: bool, nvars: int):
+        self.shifts = tuple(_FIELD * (nvars - 1 - v) for v in range(nvars))
+        ones = sum(1 << s for s in self.shifts)
+        self.guards = ones << (_FIELD - 1)
+        self.exps = self.guards - ones  # the exponent bits of every field
+        # the degree field sits above the variables; under lex its weight is 0
+        self.top = _FIELD * nvars
+        self.unit = 1 << self.top if graded else 0
+
+    def pack(self, m: Monomial) -> int:
+        x = degree = 0
+        shifts = self.shifts
+        for v, e in m.exps:
+            if e > _MAX_EXPONENT:
+                raise ResourceLimitExceeded("exponent", e, _MAX_EXPONENT)
+            x += e << shifts[v]
+            degree += e
+        return x + degree * self.unit
+
+    def unpack(self, x: int) -> Monomial:
+        return Monomial._from_sorted(
+            tuple(
+                (v, e)
+                for v, s in enumerate(self.shifts)
+                if (e := (x >> s) & _MAX_EXPONENT)
+            )
+        )
+
+    def _total(self, x: int) -> int:
+        return sum((x >> s) & _MAX_EXPONENT for s in self.shifts)
+
+    def degree(self, x: int) -> int:
+        return x >> self.top if self.unit else self._total(x)
+
+    def divides(self, h: int, m: int) -> bool:
+        guards = self.guards
+        return ((m | guards) - h) & guards == guards
+
+    def lcm(self, a: int, b: int) -> int:
+        guards = self.guards
+        ge = ((a | guards) - b) & guards  # the guards of the fields where a >= b
+        take = ge - (ge >> (_FIELD - 1))  # the exponent bits of those fields
+        lcm = (a & take) | (b & (self.exps ^ take))
+        return lcm + self._total(lcm) * self.unit
+
+    def overflow(self, x: int) -> ResourceLimitExceeded:
+        """The error for a sum ``x`` of two packed monomials that set a
+        guard bit: the largest exponent it holds does not fit a field."""
+        e = max((x >> s) & ((1 << _FIELD) - 1) for s in self.shifts)
+        return ResourceLimitExceeded("exponent", e, _MAX_EXPONENT)
+
+
+@lru_cache(maxsize=None)
+def _packing(order: MonomialOrder, nvars: int) -> _Packing:
+    return _Packing(order.kind == MonomialOrder.GRLEX, nvars)
+
+
 class GroebnerBasis:
     """A reduced Groebner basis: monic generators, no head divisible by
     another head, every tail irreducible, sorted ascending by head.
 
-    ``entries`` holds the tuples of :func:`_monic_entry`: each generator
-    with its leading monomial under ``order`` and its tail in integers.
-    They are computed once, when the basis is built, and stay in step with
-    the generators: a basis is never modified after construction, and
-    reduction and completion read heads and tails from here instead of
-    recomputing them.
+    ``entries`` holds the tuples of :func:`_monic_entry`, packed by
+    ``packing``: each generator's head and its tail in integers.  They are
+    computed once, when the basis is built; a basis is never modified after
+    construction, and reduction and completion read heads and tails from
+    here.  ``generators`` unpacks them into ``Poly`` objects on first use.
     """
 
-    __slots__ = ("ctx", "order", "entries")
+    __slots__ = ("ctx", "order", "packing", "entries", "_generators")
 
-    def __init__(self, ctx, order: MonomialOrder, entries):
+    def __init__(self, ctx, order: MonomialOrder, packing: _Packing, entries):
         self.ctx = ctx
         self.order = order
+        self.packing = packing
         self.entries = tuple(entries)
+        self._generators = None
 
     @property
     def generators(self):
-        return tuple(e[1] for e in self.entries)
+        if self._generators is None:
+            unpack, one = self.packing.unpack, Fraction(1)
+            self._generators = tuple(
+                Poly(
+                    self.ctx,
+                    {unpack(h): one, **{unpack(m): Fraction(c, d) for m, c in tail.items()}},
+                )
+                for h, tail, d in self.entries
+            )
+        return self._generators
 
     def __len__(self):
         return len(self.entries)
@@ -105,20 +197,28 @@ def leading_monomial(p: Poly, order: MonomialOrder) -> Monomial:
     return max(p.terms, key=lambda m: order.key(m, nv))
 
 
-def _monic_entry(p: Poly, order: MonomialOrder):
-    """``(head, g, tail, d)`` for nonzero ``p``: the form in which
+def _monic_entry(remainder):
+    """``(head, tail, d)`` for a nonzero polynomial whose packed monomials
+    map to ``int`` numerators in ``remainder``: the form in which
     generators are kept.
 
-    ``g`` is ``p`` divided by its leading coefficient, so
-    ``g = head + tail / d``: ``tail`` maps every other monomial of ``g`` to
-    its coefficient times ``d`` as an ``int``, and ``d`` is the lcm of
-    their denominators.
+    The monic generator, the polynomial divided by its leading
+    coefficient, is ``head + tail / d``: ``tail`` maps every other
+    monomial to its coefficient times ``d`` as an ``int``, and ``d`` is the
+    lcm of the coefficients' denominators.
     """
-    hm = leading_monomial(p, order)
-    g = p * (Fraction(1) / p.terms[hm])
-    (tail,), d = _over_common_denominator(g.terms)
-    del tail[hm]
-    return hm, g, tail, d
+    head = max(remainder)
+    lc = remainder[head]
+    sign = 1 if lc > 0 else -1
+    lc *= sign
+    # the coefficient of m is sign * c / lc, with denominator lc // gcd(c, lc)
+    d = 1
+    for c in remainder.values():
+        q = lc // gcd(c, lc)
+        if d % q:
+            d = d // gcd(d, q) * q
+    tail = {m: sign * c * d // lc for m, c in remainder.items() if m != head}
+    return head, tail, d
 
 
 class _Budget:
@@ -137,6 +237,22 @@ class _Budget:
             raise ResourceLimitExceeded("max_iterations", "exhausted", "budget")
 
 
+def _packed_entries(basis: GroebnerBasis, packing: _Packing):
+    """``basis.entries`` packed by ``packing``: as stored, or repacked when
+    the context has grown since the basis was built."""
+    old = basis.packing
+    if packing is old:
+        return basis.entries
+
+    def repack(m):
+        return packing.pack(old.unpack(m))
+
+    return tuple(
+        (repack(h), {repack(m): c for m, c in tail.items()}, d)
+        for h, tail, d in basis.entries
+    )
+
+
 def reduce(p: Poly, basis: GroebnerBasis, limits: "GroebnerLimits" = None) -> Poly:
     """Full normal form of ``p`` modulo ``basis``.
 
@@ -145,54 +261,52 @@ def reduce(p: Poly, basis: GroebnerBasis, limits: "GroebnerLimits" = None) -> Po
     stored order.
     """
     limits = limits or DEFAULT_LIMITS
-    return _reduce(p, basis.entries, basis.order, _Budget(limits.max_iterations))
+    packing = _packing(basis.order, len(p.ctx))
+    remainder, den = _reduce(
+        p, _packed_entries(basis, packing), packing, _Budget(limits.max_iterations)
+    )
+    unpack = packing.unpack
+    return Poly(p.ctx, {unpack(m): Fraction(c, den) for m, c in remainder.items()})
 
 
-def _neg_key(key):
-    # component-wise negation inverts the lexicographic tuple order, so a
-    # min-heap pops the largest monomial first; a lex key over no
-    # variables is ()
-    if key and isinstance(key[-1], tuple):
-        return (-key[0], tuple([-e for e in key[1]]))
-    return tuple([-e for e in key])
-
-
-def _reduce(p: Poly, entries, order: MonomialOrder, budget: _Budget = None) -> Poly:
-    """Normal form of ``p`` by ``entries``, tuples of :func:`_monic_entry`."""
+def _reduce(p: Poly, entries, packing: _Packing, budget: _Budget):
+    """``(remainder, den)`` of :func:`_normal_form` for ``p``."""
     (work,), den = _over_common_denominator(p.terms)
-    return _normal_form(p.ctx, work, den, entries, order, budget)
+    pack = packing.pack
+    return _normal_form({pack(m): c for m, c in work.items()}, den, entries, packing, budget)
 
 
-def _normal_form(ctx, work, den, entries, order, budget) -> Poly:
-    """Normal form of the polynomial ``work / den``, where ``work`` maps
-    monomials to ``int`` numerators over the one denominator ``den``.
+def _normal_form(work, den, entries, packing, budget):
+    """Normal form of the polynomial ``work / den`` by ``entries``, tuples
+    of :func:`_monic_entry`, where ``work`` maps packed monomials to
+    ``int`` numerators over the one denominator ``den``.  Returns
+    ``(remainder, den)`` in the same form, the remainder's monomials in
+    descending order.
 
     Reduction runs on the numerators: a reducer ``head + tail / d`` with
     ``d`` dividing the current numerator ``c`` subtracts ``c // d`` times
     its shifted tail.  When ``d`` does not divide ``c``, every numerator
-    and ``den`` are first scaled by ``d / gcd(c, d)``.  The remainder gets
-    one ``Fraction`` per term, so a zero remainder builds none.
+    and ``den`` are first scaled by ``d / gcd(c, d)``.
     """
-    nv = len(ctx)
-    key = order.key
+    guards = packing.guards
+    heappop, heappush = heapq.heappop, heapq.heappush
     # A term cancelled to 0 stays in ``work``, so each monomial is queued at
-    # most once and no two heap entries share a key (the monomials are
-    # never compared).
-    heap = [(_neg_key(key(m, nv)), m) for m in work]
+    # most once; negated, the largest pops first.
+    heap = [-m for m in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m)
         if not c:
             continue
-        if budget is not None:
-            budget.spend()
-        for hm, _, tail, d in entries:
-            if hm.divides(m):
-                # work -= c * (m / hm) * (hm + tail / d): the head term
-                # cancels exactly, and every introduced monomial is
-                # strictly below m in the order.
+        budget.spend()
+        mg = m | guards
+        for h, tail, d in entries:
+            if (mg - h) & guards == guards:
+                # work -= c * (m / h) * (h + tail / d): the head term cancels
+                # exactly, and every introduced monomial is strictly below m
+                # in the order.
                 if c % d:
                     k = d // gcd(c, d)
                     c *= k
@@ -200,81 +314,95 @@ def _normal_form(ctx, work, den, entries, order, budget) -> Poly:
                     work = {t: x * k for t, x in work.items()}
                     remainder = {t: x * k for t, x in remainder.items()}
                 q = c // d
-                shift = m / hm
+                shift = m - h
                 for gm, gc in tail.items():
-                    t = gm * shift
+                    t = gm + shift
+                    if t & guards:
+                        raise packing.overflow(t)
                     prev = work.get(t)
                     if prev is None:
-                        heapq.heappush(heap, (_neg_key(key(t, nv)), t))
+                        heappush(heap, -t)
                         work[t] = -q * gc
                     else:
                         work[t] = prev - q * gc
                 break
         else:
             remainder[m] = c
-    return Poly(ctx, {m: Fraction(c, den) for m, c in remainder.items()})
+    return remainder, den
 
 
-def _s_poly_work(f, g, l: Monomial):
+def _s_poly_work(f, g, l, packing):
     """``(work, den)`` of the S-polynomial of the entries ``f`` and ``g``
-    with head lcm ``l``: ``(l / hf) * f - (l / hg) * g``, whose heads
+    with packed head lcm ``l``: ``(l / hf) * f - (l / hg) * g``, whose heads
     cancel, so only the two shifted tails are summed.  Terms that cancel
     stay in ``work`` as 0."""
-    hf, _, ft, fd = f
-    hg, _, gt, gd = g
+    hf, ft, fd = f
+    hg, gt, gd = g
+    guards = packing.guards
     den = fd // gcd(fd, gd) * gd
-    a, b = den // fd, den // gd
-    sf, sg = l / hf, l / hg
-    work = {m * sf: a * c for m, c in ft.items()}
-    for m, c in gt.items():
-        t = m * sg
-        work[t] = work.get(t, 0) - b * c
+    work = {}
+    for shift, tail, a in ((l - hf, ft, den // fd), (l - hg, gt, -(den // gd))):
+        for m, c in tail.items():
+            t = m + shift
+            if t & guards:
+                raise packing.overflow(t)
+            work[t] = work.get(t, 0) + a * c
     return work, den
 
 
-def _gm_update(gens, pairs, new, order, seq):
+def _new_entry(remainder, size, packing, limits):
+    """The entry of the nonzero ``remainder`` joining a basis of ``size``
+    generators, once it passes the degree and basis caps."""
+    degree = max(map(packing.degree, remainder))
+    if degree > limits.max_degree:
+        raise ResourceLimitExceeded("max_degree", degree, limits.max_degree)
+    if size + 1 > limits.max_basis:
+        raise ResourceLimitExceeded("max_basis", size + 1, limits.max_basis)
+    return _monic_entry(remainder)
+
+
+def _gm_update(gens, pairs, new, packing, seq):
     """Gebauer-Moller pair update: add ``new``, the entry of a monic and
     reduced generator, to ``gens`` and return the critical-pair heap
     rebuilt with the B/M/F criteria.
 
-    A pair is (lcm key, sequence number, lcm, entry f, entry g); the
-    numbers come from ``seq`` and increase, so the heap pops the smallest
-    lcm first and breaks ties in insertion order.
+    A pair is (packed lcm, sequence number, entry f, entry g); the numbers
+    come from ``seq`` and increase, so the heap pops the smallest lcm first
+    and breaks ties in insertion order.
     """
-    hm = new[0]
-    nv = len(new[1].ctx)
-    lcms = [hm.lcm(e[0]) for e in gens]
+    h = new[0]
+    divides, lcm, guards = packing.divides, packing.lcm, packing.guards
+    lcms = [lcm(h, e[0]) for e in gens]
 
     # M criterion: drop (g1, h) when another new pair's lcm strictly divides.
-    kept = [
-        i
-        for i, l1 in enumerate(lcms)
-        if not any(j != i and l2 != l1 and l2.divides(l1) for j, l2 in enumerate(lcms))
-    ]
+    kept = []
+    for i, l1 in enumerate(lcms):
+        l1g = l1 | guards
+        if not any(l2 != l1 and (l1g - l2) & guards == guards for l2 in lcms):
+            kept.append(i)
     # F criterion: among equal lcms keep one representative.
     seen = {}
     for i in kept:
-        seen.setdefault(lcms[i].exps, i)
-    # Buchberger's coprimality criterion.
-    kept = [i for i in seen.values() if not hm.coprime(gens[i][0])]
+        seen.setdefault(lcms[i], i)
+    # Buchberger's coprimality criterion: the lcm of coprime heads is their
+    # product.
+    kept = [i for i in seen.values() if lcms[i] != h + gens[i][0]]
 
     # B criterion on old pairs.
     surviving = [
         pair
         for pair in pairs
-        if not hm.divides(pair[2])
-        or hm.lcm(pair[3][0]) == pair[2]
-        or hm.lcm(pair[4][0]) == pair[2]
+        if not divides(h, pair[0])
+        or lcm(h, pair[2][0]) == pair[0]
+        or lcm(h, pair[3][0]) == pair[0]
     ]
-    surviving.extend(
-        (order.key(lcms[i], nv), next(seq), lcms[i], gens[i], new) for i in kept
-    )
+    surviving.extend((lcms[i], next(seq), gens[i], new) for i in kept)
     heapq.heapify(surviving)
     gens.append(new)
     return surviving
 
 
-def _interreduce(gens, order, budget=None):
+def _interreduce(gens, packing, budget):
     """Reduce each of ``gens``, entries of monic generators, by the others
     until none changes; return them sorted ascending by head."""
     gens = list(gens)
@@ -282,37 +410,33 @@ def _interreduce(gens, order, budget=None):
     while changed:
         changed = False
         for i in range(len(gens)):
-            hm, g, tail, d = gens[i]
-            r = _normal_form(
-                g.ctx, {hm: d, **tail}, d, gens[:i] + gens[i + 1 :], order, budget
-            )
-            if r.terms != g.terms:
+            h, tail, d = gens[i]
+            g = {h: d, **tail}
+            # with no reduction step the remainder is g itself; after one,
+            # it lacks the monomial that step cancelled
+            r, _ = _normal_form(dict(g), d, gens[:i] + gens[i + 1 :], packing, budget)
+            if r != g:
                 changed = True
-                if r.is_zero():
-                    gens.pop(i)
+                if r:
+                    gens[i] = _monic_entry(r)
                 else:
-                    gens[i] = _monic_entry(r, order)
+                    gens.pop(i)
                 break
-    nv = len(gens[0][1].ctx) if gens else 0
-    gens.sort(key=lambda e: order.key(e[0], nv))
+    gens.sort(key=lambda e: e[0])
     return gens
 
 
-def _complete(gens, pairs, order, limits, budget, seq):
+def _complete(gens, pairs, packing, limits, budget, seq):
     """Run pair reductions until no critical pair is left."""
     while pairs:
         budget.spend()
         # Normal strategy: smallest pair lcm in the order.
-        _, _, l, f, g = heapq.heappop(pairs)
-        work, den = _s_poly_work(f, g, l)
-        h = _normal_form(f[1].ctx, work, den, gens, order, budget)
-        if h.is_zero():
-            continue
-        if h.degree > limits.max_degree:
-            raise ResourceLimitExceeded("max_degree", h.degree, limits.max_degree)
-        if len(gens) + 1 > limits.max_basis:
-            raise ResourceLimitExceeded("max_basis", len(gens) + 1, limits.max_basis)
-        pairs = _gm_update(gens, pairs, _monic_entry(h, order), order, seq)
+        l, _, f, g = heapq.heappop(pairs)
+        work, den = _s_poly_work(f, g, l, packing)
+        h, _ = _normal_form(work, den, gens, packing, budget)
+        if h:
+            new = _new_entry(h, len(gens), packing, limits)
+            pairs = _gm_update(gens, pairs, new, packing, seq)
     return gens
 
 
@@ -330,22 +454,19 @@ def buchberger(
     if not gens:
         if ctx is None:
             raise ValueError("empty generator list needs an explicit ctx")
-        return GroebnerBasis(ctx, order, ())
+        return GroebnerBasis(ctx, order, _packing(order, len(ctx)), ())
     ctx = gens[0].ctx
+    packing = _packing(order, len(ctx))
     budget = _Budget(limits.max_iterations)
     seq = itertools.count()
     basis, pairs = [], []
     for g in gens:
-        h = _reduce(g, basis, order, budget)
-        if h.is_zero():
-            continue
-        if h.degree > limits.max_degree:
-            raise ResourceLimitExceeded("max_degree", h.degree, limits.max_degree)
-        if len(basis) + 1 > limits.max_basis:
-            raise ResourceLimitExceeded("max_basis", len(basis) + 1, limits.max_basis)
-        pairs = _gm_update(basis, pairs, _monic_entry(h, order), order, seq)
-    basis = _complete(basis, pairs, order, limits, budget, seq)
-    return GroebnerBasis(ctx, order, _interreduce(basis, order, budget))
+        h, _ = _reduce(g, basis, packing, budget)
+        if h:
+            new = _new_entry(h, len(basis), packing, limits)
+            pairs = _gm_update(basis, pairs, new, packing, seq)
+    basis = _complete(basis, pairs, packing, limits, budget, seq)
+    return GroebnerBasis(ctx, order, packing, _interreduce(basis, packing, budget))
 
 
 def extend(basis: GroebnerBasis, p: Poly, limits: GroebnerLimits = None) -> GroebnerBasis:
@@ -354,20 +475,18 @@ def extend(basis: GroebnerBasis, p: Poly, limits: GroebnerLimits = None) -> Groe
     Returns ``basis`` itself when ``p`` is already a member.
     """
     limits = limits or DEFAULT_LIMITS
-    order = basis.order
+    packing = _packing(basis.order, len(basis.ctx))
+    entries = _packed_entries(basis, packing)
     budget = _Budget(limits.max_iterations)
-    h = _reduce(p, basis.entries, order, budget)
-    if h.is_zero():
+    h, _ = _reduce(p, entries, packing, budget)
+    if not h:
         return basis
-    if h.degree > limits.max_degree:
-        raise ResourceLimitExceeded("max_degree", h.degree, limits.max_degree)
-    if len(basis) + 1 > limits.max_basis:
-        raise ResourceLimitExceeded("max_basis", len(basis) + 1, limits.max_basis)
-    gens = list(basis.entries)
+    new = _new_entry(h, len(entries), packing, limits)
+    gens = list(entries)
     seq = itertools.count()
-    pairs = _gm_update(gens, [], _monic_entry(h, order), order, seq)
-    gens = _complete(gens, pairs, order, limits, budget, seq)
-    return GroebnerBasis(basis.ctx, order, _interreduce(gens, order, budget))
+    pairs = _gm_update(gens, [], new, packing, seq)
+    gens = _complete(gens, pairs, packing, limits, budget, seq)
+    return GroebnerBasis(basis.ctx, basis.order, packing, _interreduce(gens, packing, budget))
 
 
 def ideal_contains(basis: GroebnerBasis, p: Poly) -> bool:

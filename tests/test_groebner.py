@@ -10,19 +10,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import macaulay_member
+from zeroness import cdf as C
 from zeroness import groebner
+from zeroness import wbpp as W
+from zeroness._saturation import Outcome
 from zeroness.errors import ResourceLimitExceeded
 from zeroness.groebner import (
+    _MAX_EXPONENT,
     GroebnerLimits,
     MonomialOrder,
     _Budget,
-    _gm_update,
-    _neg_key,
+    _packing,
     buchberger,
     extend,
     ideal_contains,
     ideal_equal,
-    leading_monomial,
     reduce,
 )
 from zeroness.poly import Context, Monomial, Poly
@@ -174,6 +176,19 @@ def test_extend_member_returns_same_object(ctx):
     assert extend(gb, x**3) is gb
 
 
+def test_basis_outlives_a_grown_context():
+    # a variable added to the context after the basis was built: reduce and
+    # extend must see it, as with a basis built afterwards
+    ctx = Context(["x", "y"])
+    x, y = ctx.var("x"), ctx.var("y")
+    gb = buchberger([x**2 - y])
+    z = ctx.var_by_id(ctx.add("z"))
+    assert reduce(x**2 * z + z, gb) == y * z + z
+    assert list(extend(gb, x * z - y).generators) == list(
+        buchberger([x**2 - y, x * z - y]).generators
+    )
+
+
 def test_degree_cap_raises(ctx):
     x, y = ctx.var("x"), ctx.var("y")
     limits = GroebnerLimits(max_degree=1)
@@ -247,9 +262,14 @@ def test_cyclic4_step_count_is_pinned():
 @st.composite
 def built_monomials(draw):
     """Monomials over ``nvars`` variables, built every way the library
-    builds them, each with its dense exponent vector worked out here."""
-    nvars = draw(st.integers(1, 4))
-    vec = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).map(tuple)
+    builds them, each with its dense exponent vector worked out here.
+    Exponents at the packed field boundary make products and quotients
+    that straddle it."""
+    nvars = draw(st.integers(0, 4))
+    exponent = st.one_of(
+        st.integers(0, 3), st.sampled_from([_MAX_EXPONENT - 1, _MAX_EXPONENT])
+    )
+    vec = st.lists(exponent, min_size=nvars, max_size=nvars).map(tuple)
     how = st.sampled_from(["init", "from_sorted", "mul", "div", "lcm"])
     items = []
     for a, b, way in draw(st.lists(st.tuples(vec, vec, how), min_size=1, max_size=8)):
@@ -268,6 +288,13 @@ def built_monomials(draw):
     return nvars, items
 
 
+def dense(m, n):
+    out = [0] * n
+    for v, e in m.exps:
+        out[v] = e
+    return tuple(out)
+
+
 @given(built_monomials())
 @settings(max_examples=100, deadline=None)
 def test_order_key_matches_dense_reference(case):
@@ -281,29 +308,169 @@ def test_order_key_matches_dense_reference(case):
             want = [e for _, e in sorted(items, key=lambda it: ref(it[1] + pad))]
             got = [e for _, e in sorted(items, key=lambda it: order.key(it[0], n))]
             assert got == want
-            heap_order = sorted(items, key=lambda it: _neg_key(order.key(it[0], n)))
-            assert [e for _, e in heap_order] == want[::-1]
             for m, e in items:
                 assert order.key(m, n) == ref(e + pad)
 
+            # Packed, a monomial with an exponent past the field is refused;
+            # the others sort and pop off a negated heap in the order.
+            packing = _packing(order, n)
+            fits = []
+            for m, e in items:
+                if max(e, default=0) > _MAX_EXPONENT:
+                    with pytest.raises(ResourceLimitExceeded) as refused:
+                        packing.pack(m)
+                    assert refused.value.cap == "exponent"
+                    assert refused.value.value in e
+                    assert refused.value.value > refused.value.limit == _MAX_EXPONENT
+                else:
+                    fits.append((m, packing.pack(m), e))
+            want = [e for _, _, e in sorted(fits, key=lambda it: ref(it[2] + pad))]
+            got = [e for _, _, e in sorted(fits, key=lambda it: it[1])]
+            assert got == want
+            heap = [-x for _, x, _ in fits]
+            heapq.heapify(heap)
+            popped = [-heapq.heappop(heap) for _ in fits]
+            assert [dense(packing.unpack(x), nvars) for x in popped] == want[::-1]
+
+            for ma, a, ea in fits:
+                assert packing.unpack(a) == ma
+                assert packing.degree(a) == ma.degree == sum(ea)
+                for mb, b, eb in fits:
+                    assert packing.divides(a, b) == ma.divides(mb)
+                    if ma.divides(mb):
+                        assert b - a == packing.pack(mb / ma)  # the shift
+                    assert packing.lcm(a, b) == packing.pack(ma.lcm(mb))
+                    product = ma * mb
+                    top = max((e for _, e in product.exps), default=0)
+                    if top > _MAX_EXPONENT:
+                        assert (a + b) & packing.guards
+                        assert packing.overflow(a + b).value == top
+                    else:
+                        assert not (a + b) & packing.guards
+                        assert a + b == packing.pack(product)
+
+
+@pytest.mark.parametrize("kind", ["grlex", "lex"])
+def test_exponent_overflow_is_a_resource_cap(kind):
+    # An exponent past the packed field is refused, and so is a product
+    # that would carry out of it: the computation is inconclusive, never
+    # a normal form of wrapped exponents.
+    order = MonomialOrder(kind)
+    ctx = Context(["x", "y"])
+    x, y = ctx.var("x"), ctx.var("y")
+    huge = Poly(ctx, {Monomial(((1, 2**40),)): Fraction(1)}) + x
+    limits = GroebnerLimits(max_degree=2**41)
+    gb = buchberger([x - y], order)
+    for run in (
+        lambda: reduce(huge, gb, limits),
+        lambda: buchberger([huge], order, limits),
+        lambda: extend(gb, huge, limits),
+    ):
+        with pytest.raises(ResourceLimitExceeded) as refused:
+            run()
+        assert (refused.value.cap, refused.value.value) == ("exponent", 2**40)
+
+    # x^M y^M by x + y: the first step's shift x^(M-1) y^M times the tail
+    # y carries y past the field
+    edge = Poly(ctx, {Monomial(((0, _MAX_EXPONENT), (1, _MAX_EXPONENT))): Fraction(1)})
+    gb = buchberger([x + y], order)
+    for run in (
+        lambda: reduce(edge, gb, limits),
+        lambda: buchberger([x + y, edge], order, limits),
+        lambda: extend(gb, edge, limits),
+    ):
+        with pytest.raises(ResourceLimitExceeded) as refused:
+            run()
+        assert (refused.value.cap, refused.value.value) == ("exponent", _MAX_EXPONENT + 1)
+
+    # S(x^M + y, x y^M) = y^M (x^M + y) - x^(M-1) (x y^M): the shift y^M of
+    # the first tail carries y past the field
+    f = Poly(ctx, {Monomial(((0, _MAX_EXPONENT),)): Fraction(1), Monomial(((1, 1),)): Fraction(1)})
+    g = Poly(ctx, {Monomial(((0, 1), (1, _MAX_EXPONENT))): Fraction(1)})
+    with pytest.raises(ResourceLimitExceeded) as refused:
+        buchberger([f, g], order, limits)
+    assert (refused.value.cap, refused.value.value) == ("exponent", _MAX_EXPONENT + 1)
+
+
+def test_exponent_overflow_makes_a_query_inconclusive():
+    big = Monomial(((0, 2**40),))
+    sys = C.CdfSystem(("x1",), ["e"], {("e", 1): Context(["e"]).var("e")}, [0])
+    series = C.CdfSeries(sys, Poly(sys.ctx, {big: Fraction(1)}))
+    m = W.Wbpp(["a"], ["X"], "X", {("a", "X"): Context(["X"]).var("X")}, {"X": 0})
+    start = Poly(m.core.ctx, {big: Fraction(3)})
+    for verdict in (C.zeroness(series), W.zeroness(m, start)):
+        assert verdict.outcome is Outcome.INCONCLUSIVE_RESOURCE_LIMIT
+        assert verdict.detail == f"resource cap 'exponent' exceeded: {2**40} > {_MAX_EXPONENT}"
+
 
 # The Groebner layer reduces integer numerators over one tracked
-# denominator.  It must give what the plain-Fraction division and
-# completion below give, term for term and in the same order, spend the
-# same reduction steps, and store only Fraction coefficients.
+# denominator, with every monomial packed into an int.  It must give what
+# the plain-Fraction division and completion below give, term for term
+# and in the same order, spend the same reduction steps, and store only
+# Fraction coefficients.  The reference keys, orders and pairs Monomial
+# objects with its own copies of the order key, the heap key, the leading
+# monomial and the Gebauer-Moller update, so it runs no packed code.
+
+
+def ref_key(order, m, nv):
+    e = dense(m, nv)
+    return (sum(e), e) if order.kind == "grlex" else e
+
+
+def ref_neg_key(key):
+    # component-wise negation inverts the lexicographic tuple order, so a
+    # min-heap pops the largest monomial first; a lex key over no
+    # variables is ()
+    if key and isinstance(key[-1], tuple):
+        return (-key[0], tuple([-e for e in key[1]]))
+    return tuple([-e for e in key])
+
+
+def ref_leading_monomial(p, order):
+    nv = len(p.ctx)
+    return max(p.terms, key=lambda m: ref_key(order, m, nv))
+
+
+def ref_gm_update(gens, pairs, new, order, seq):
+    """Gebauer-Moller update on (head, monic generator) entries; a pair is
+    (lcm key, sequence number, lcm, entry f, entry g)."""
+    hm = new[0]
+    nv = len(new[1].ctx)
+    lcms = [hm.lcm(e[0]) for e in gens]
+    kept = [
+        i
+        for i, l1 in enumerate(lcms)
+        if not any(j != i and l2 != l1 and l2.divides(l1) for j, l2 in enumerate(lcms))
+    ]
+    seen = {}
+    for i in kept:
+        seen.setdefault(lcms[i].exps, i)
+    kept = [i for i in seen.values() if not hm.coprime(gens[i][0])]
+    surviving = [
+        pair
+        for pair in pairs
+        if not hm.divides(pair[2])
+        or hm.lcm(pair[3][0]) == pair[2]
+        or hm.lcm(pair[4][0]) == pair[2]
+    ]
+    surviving.extend(
+        (ref_key(order, lcms[i], nv), next(seq), lcms[i], gens[i], new) for i in kept
+    )
+    heapq.heapify(surviving)
+    gens.append(new)
+    return surviving
 
 
 def ref_entry(p, order):
-    hm = leading_monomial(p, order)
+    hm = ref_leading_monomial(p, order)
     return hm, p * (Fraction(1) / p.terms[hm])
 
 
 def ref_reduce(p, entries, order, budget):
     """Normal form of ``p`` by ``entries``, (head, monic generator) pairs."""
     nv = len(p.ctx)
-    key = order.key
     work = dict(p.terms)
-    heap = [(_neg_key(key(m, nv)), m) for m in work]
+    heap = [(ref_neg_key(ref_key(order, m, nv)), m) for m in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
@@ -321,7 +488,7 @@ def ref_reduce(p, entries, order, budget):
                     t = gm * shift
                     prev = work.get(t)
                     if prev is None:
-                        heapq.heappush(heap, (_neg_key(key(t, nv)), t))
+                        heapq.heappush(heap, (ref_neg_key(ref_key(order, t, nv)), t))
                         work[t] = -c * gc
                     else:
                         work[t] = prev - c * gc
@@ -343,7 +510,7 @@ def ref_complete(gens, pairs, order, budget, seq):
         _, _, l, (lf, f), (lg, g) = heapq.heappop(pairs)
         h = ref_reduce(ref_s_poly(lf, f, lg, g, l), gens, order, budget)
         if not h.is_zero():
-            pairs = _gm_update(gens, pairs, ref_entry(h, order), order, seq)
+            pairs = ref_gm_update(gens, pairs, ref_entry(h, order), order, seq)
     return gens
 
 
@@ -363,7 +530,7 @@ def ref_interreduce(gens, order, budget):
                     gens[i] = ref_entry(r, order)
                 break
     nv = len(gens[0][1].ctx) if gens else 0
-    gens.sort(key=lambda e: order.key(e[0], nv))
+    gens.sort(key=lambda e: ref_key(order, e[0], nv))
     return gens
 
 
@@ -373,7 +540,7 @@ def ref_buchberger(gens, order, budget):
     for g in gens:
         h = ref_reduce(g, basis, order, budget)
         if not h.is_zero():
-            pairs = _gm_update(basis, pairs, ref_entry(h, order), order, seq)
+            pairs = ref_gm_update(basis, pairs, ref_entry(h, order), order, seq)
     basis = ref_complete(basis, pairs, order, budget, seq)
     return ref_interreduce(basis, order, budget)
 
@@ -384,7 +551,7 @@ def ref_extend(entries, p, order, budget):
         return entries
     gens = list(entries)
     seq = itertools.count()
-    pairs = _gm_update(gens, [], ref_entry(h, order), order, seq)
+    pairs = ref_gm_update(gens, [], ref_entry(h, order), order, seq)
     gens = ref_complete(gens, pairs, order, budget, seq)
     return ref_interreduce(gens, order, budget)
 
