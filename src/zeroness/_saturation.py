@@ -20,7 +20,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ResourceLimitExceeded
-from .groebner import DEFAULT_LIMITS, MonomialOrder, buchberger, extend
+from .groebner import DEFAULT_LIMITS, buchberger, extend
+from .poly import MonomialOrder, _evaluate, _packing
 
 
 class Outcome(Enum):
@@ -72,35 +73,39 @@ def saturate(start, ops, point, limits=None) -> ZeroVerdict:
 
     ``ops`` is the ordered family of derivations (the BFS tries them in
     this order, so witnesses are shortest and lexicographically least).
+    Every polynomial of the search stays in the packed form of the basis's
+    grlex packing, from the start through each derivation and evaluation
+    to ``extend``; the degree cap reads the degree field.
     """
     limits = limits or DEFAULT_LIMITS
     order = MonomialOrder()
+    packing = _packing(order, len(start.ctx))
+    at = packing.point(point)
     max_degree = start.degree
 
     def stats(chain, basis):
         return SaturationStats(chain, basis, max_degree)
 
-    value = start.eval(point)
-    if value != 0:
-        return ZeroVerdict(Outcome.NONZERO, (), value, stats(0, 0))
-    if start.is_zero():
-        return ZeroVerdict(Outcome.ZERO, stats=stats(0, 0))
-
-    chain, basis = 0, ()  # what an inconclusive verdict reports if buchberger raises
+    chain, basis = 0, ()  # what an inconclusive verdict reports if a cap fires first
     try:
+        beta = packing.pack_terms(start.terms)
+        value = _evaluate(*beta, at, packing)
+        if value != 0:
+            return ZeroVerdict(Outcome.NONZERO, (), value, stats(0, 0))
+        if start.is_zero():
+            return ZeroVerdict(Outcome.ZERO, stats=stats(0, 0))
         basis = buchberger([start], order, limits)
-        frontier = deque([(start, ())])
+        frontier = deque([(beta, ())])
         while frontier:
             beta, word = frontier.popleft()
             for i, op in enumerate(ops):
-                gamma = op(beta)
-                if gamma.degree > limits.max_degree:
-                    raise ResourceLimitExceeded(
-                        "max_degree", gamma.degree, limits.max_degree
-                    )
-                max_degree = max(max_degree, gamma.degree)
+                gamma = op._apply(*beta, packing)
+                degree = max(gamma[0], default=0) >> packing.top
+                if degree > limits.max_degree:
+                    raise ResourceLimitExceeded("max_degree", degree, limits.max_degree)
+                max_degree = max(max_degree, degree)
                 w = word + (i,)
-                value = gamma.eval(point)
+                value = _evaluate(*gamma, at, packing)
                 if value != 0:
                     return ZeroVerdict(
                         Outcome.NONZERO, w, value, stats(chain, len(basis))

@@ -4,7 +4,8 @@ A process model (letters, nonterminals, output weights) and a CDF system
 (axes, generators, initial vector) are the same data: generators, one
 derivation of their ring per letter or axis (the ops), and a point.
 ``Wbpp`` and ``CdfSystem`` are views on a :class:`System`; union, adjoin,
-inverse, prune, fresh names and the decision are written here once.
+inverse, prune, fresh names, the packed fold of a word of ops and the
+decision are written here once.
 
 Polynomials move between contexts by variable id (kept, shifted, or
 renumbered increasingly), never by name.  That keeps the generators'
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from ._saturation import saturate
 from .errors import ArityMismatch, ContextMismatch
-from .poly import Context, Derivation, Monomial, Poly
+from .poly import _GRLEX, Context, Derivation, Monomial, Poly, _evaluate, _packing
 
 
 class System:
@@ -146,6 +147,26 @@ def prune(system: System, exprs):
     ]
     pruned = System(ctx, ops, [system.point[v] for v in keep])
     return pruned, [transport(e, ctx, ids) for e in exprs]
+
+
+def fold(start: Poly, word):
+    """``start`` with the ops of ``word`` applied in turn, first letter
+    first, as ``(packing, packed, den)``: packed once under grlex, each op
+    run by its packed kernel, nothing unpacked in between."""
+    packing = _packing(_GRLEX, len(start.ctx))
+    packed, den = packing.pack_terms(start.terms)
+    for op in word:
+        if op.ctx is not start.ctx:
+            raise ContextMismatch("derivation applied outside its context")
+        packed, den = op._apply(packed, den, packing)
+    return packing, packed, den
+
+
+def fold_value(start: Poly, word, point) -> Fraction:
+    """The value at ``point`` of :func:`fold`'s polynomial, evaluated
+    packed."""
+    packing, packed, den = fold(start, word)
+    return _evaluate(packed, den, packing.point(point), packing)
 
 
 def decide(system: System, expr: Poly, limits=None):

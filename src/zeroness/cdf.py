@@ -189,17 +189,19 @@ def lie_derivative(sys: CdfSystem, j: int, p: Poly) -> Poly:
 
 def coeff_via_lie(s: CdfSeries, n) -> Fraction:
     """Coefficient extraction by the exchange rule: fold one Lie derivative
-    per unit of each exponent, then evaluate at the initial vector.  Any
-    word with the right Parikh image works; axes are folded in order."""
+    per unit of each exponent, then evaluate at the initial vector, packed
+    throughout (:func:`_system.fold_value`).  Any word with the right
+    Parikh image works; axes are folded in order.  Every exponent must be
+    nonnegative."""
     n = tuple(n)
     if len(n) != s.dim:
         raise ArityMismatch(f"exponent {n} has dimension {len(n)}, series has {s.dim}")
-    p = s.expr
+    if any(k < 0 for k in n):
+        raise ValueError(f"negative exponent in {n}")
+    word = []
     for j, count in enumerate(n, start=1):
-        op = s.system.lie(j)
-        for _ in range(count):
-            p = op(p)
-    return p.eval(s.system.init)
+        word += [s.system.lie(j)] * count
+    return _system.fold_value(s.expr, word, s.system.init)
 
 
 def _eval_on_tables(p: Poly, tables, d: int, N: int) -> TruncSeries:

@@ -1,12 +1,13 @@
-"""Monomial orders, multivariate division, and Buchberger's algorithm.
+"""Multivariate division and Buchberger's algorithm.
 
 This is the termination and membership engine behind the zeroness
 procedures: ideal membership is decided by reduction against a reduced
 Groebner basis, and saturation loops extend bases incrementally.
 
-Inside the layer a monomial is one ``int`` (see :class:`_Packing`), so
-the order is integer comparison, a product is a sum and divisibility is a
-mask test; polynomials enter and leave as :class:`~zeroness.poly.Poly`.
+Inside the layer a monomial is one ``int`` (see
+:class:`~zeroness.poly._Packing`), so the order is integer comparison, a
+product is a sum and divisibility is a mask test; polynomials enter and
+leave as :class:`~zeroness.poly.Poly`, or already packed.
 
 All computations carry resource caps; hitting one raises
 :class:`~zeroness.errors.ResourceLimitExceeded`, which callers surface as
@@ -18,40 +19,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from math import gcd
 
 from .errors import ResourceLimitExceeded
-from .poly import Monomial, Poly, _over_common_denominator
-
-
-class MonomialOrder:
-    """A monomial order: graded-lex (default) or lex, both with variable
-    id 0 highest."""
-
-    __slots__ = ("kind",)
-
-    GRLEX = "grlex"
-    LEX = "lex"
-
-    def __init__(self, kind=GRLEX):
-        if kind not in (self.GRLEX, self.LEX):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-
-    def key(self, m: Monomial, nvars: int):
-        key = m.grlex_key(nvars)
-        return key if self.kind == self.GRLEX else key[1]
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
+from .poly import _MAX_EXPONENT, MonomialOrder, Poly, _Packing, _packing  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -67,83 +39,6 @@ class GroebnerLimits:
 
 
 DEFAULT_LIMITS = GroebnerLimits()
-
-
-# Bits per variable field; the top bit of each field is its guard.
-_FIELD = 32
-_MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
-
-
-class _Packing:
-    """Monomials over ``nvars`` variables as single ints, for one order.
-
-    Variable ``v`` owns the ``_FIELD``-bit field at ``shifts[v]``, variable
-    0 highest, and under grlex the total degree sits above them all, so
-    comparing two packed ints compares the monomials in the order.  No
-    stored exponent sets the top (guard) bit of its field.  Hence the
-    product of two monomials is the sum of their ints, and that sum has
-    overflowed a field iff it sets a guard bit; ``h`` divides ``m`` iff
-    ``((m | guards) - h) & guards == guards``, since each field's guard
-    absorbs its own borrow.
-    """
-
-    __slots__ = ("shifts", "top", "unit", "guards", "exps")
-
-    def __init__(self, graded: bool, nvars: int):
-        self.shifts = tuple(_FIELD * (nvars - 1 - v) for v in range(nvars))
-        ones = sum(1 << s for s in self.shifts)
-        self.guards = ones << (_FIELD - 1)
-        self.exps = self.guards - ones  # the exponent bits of every field
-        # the degree field sits above the variables; under lex its weight is 0
-        self.top = _FIELD * nvars
-        self.unit = 1 << self.top if graded else 0
-
-    def pack(self, m: Monomial) -> int:
-        x = degree = 0
-        shifts = self.shifts
-        for v, e in m.exps:
-            if e > _MAX_EXPONENT:
-                raise ResourceLimitExceeded("exponent", e, _MAX_EXPONENT)
-            x += e << shifts[v]
-            degree += e
-        return x + degree * self.unit
-
-    def unpack(self, x: int) -> Monomial:
-        return Monomial._from_sorted(
-            tuple(
-                (v, e)
-                for v, s in enumerate(self.shifts)
-                if (e := (x >> s) & _MAX_EXPONENT)
-            )
-        )
-
-    def _total(self, x: int) -> int:
-        return sum((x >> s) & _MAX_EXPONENT for s in self.shifts)
-
-    def degree(self, x: int) -> int:
-        return x >> self.top if self.unit else self._total(x)
-
-    def divides(self, h: int, m: int) -> bool:
-        guards = self.guards
-        return ((m | guards) - h) & guards == guards
-
-    def lcm(self, a: int, b: int) -> int:
-        guards = self.guards
-        ge = ((a | guards) - b) & guards  # the guards of the fields where a >= b
-        take = ge - (ge >> (_FIELD - 1))  # the exponent bits of those fields
-        lcm = (a & take) | (b & (self.exps ^ take))
-        return lcm + self._total(lcm) * self.unit
-
-    def overflow(self, x: int) -> ResourceLimitExceeded:
-        """The error for a sum ``x`` of two packed monomials that set a
-        guard bit: the largest exponent it holds does not fit a field."""
-        e = max((x >> s) & ((1 << _FIELD) - 1) for s in self.shifts)
-        return ResourceLimitExceeded("exponent", e, _MAX_EXPONENT)
-
-
-@lru_cache(maxsize=None)
-def _packing(order: MonomialOrder, nvars: int) -> _Packing:
-    return _Packing(order.kind == MonomialOrder.GRLEX, nvars)
 
 
 class GroebnerBasis:
@@ -190,11 +85,6 @@ class GroebnerBasis:
 
     def __repr__(self):
         return f"GroebnerBasis[{', '.join(str(g) for g in self.generators)}]"
-
-
-def leading_monomial(p: Poly, order: MonomialOrder) -> Monomial:
-    nv = len(p.ctx)
-    return max(p.terms, key=lambda m: order.key(m, nv))
 
 
 def _monic_entry(remainder):
@@ -265,15 +155,18 @@ def reduce(p: Poly, basis: GroebnerBasis, limits: "GroebnerLimits" = None) -> Po
     remainder, den = _reduce(
         p, _packed_entries(basis, packing), packing, _Budget(limits.max_iterations)
     )
-    unpack = packing.unpack
-    return Poly(p.ctx, {unpack(m): Fraction(c, den) for m, c in remainder.items()})
+    return packing.poly(p.ctx, remainder, den)
 
 
-def _reduce(p: Poly, entries, packing: _Packing, budget: _Budget):
-    """``(remainder, den)`` of :func:`_normal_form` for ``p``."""
-    (work,), den = _over_common_denominator(p.terms)
-    pack = packing.pack
-    return _normal_form({pack(m): c for m, c in work.items()}, den, entries, packing, budget)
+def _reduce(p, entries, packing: _Packing, budget: _Budget):
+    """``(remainder, den)`` of :func:`_normal_form` for ``p``: a ``Poly``,
+    or a pair ``(packed, den)`` already packed by ``packing``."""
+    if isinstance(p, Poly):
+        work, den = packing.pack_terms(p.terms)
+    else:
+        packed, den = p
+        work = dict(packed)  # the normal form consumes its work
+    return _normal_form(work, den, entries, packing, budget)
 
 
 def _normal_form(work, den, entries, packing, budget):
@@ -469,10 +362,13 @@ def buchberger(
     return GroebnerBasis(ctx, order, packing, _interreduce(basis, packing, budget))
 
 
-def extend(basis: GroebnerBasis, p: Poly, limits: GroebnerLimits = None) -> GroebnerBasis:
+def extend(basis: GroebnerBasis, p, limits: GroebnerLimits = None) -> GroebnerBasis:
     """Groebner basis of ideal(basis) + <p>, reusing the existing basis.
 
-    Returns ``basis`` itself when ``p`` is already a member.
+    ``p`` is a ``Poly``, or a pair ``(packed, den)`` in the packed form of
+    :class:`~zeroness.poly._Packing`, packed by the basis's order over its
+    context as it is now; saturation keeps its polynomials so.  Returns
+    ``basis`` itself when ``p`` is already a member.
     """
     limits = limits or DEFAULT_LIMITS
     packing = _packing(basis.order, len(basis.ctx))

@@ -4,12 +4,23 @@ All polynomials live in a :class:`Context`, an interned symbol table that
 fixes the ambient variable set.  Values are immutable after construction;
 every operation returns a new polynomial in canonical form (no zero
 coefficients, unique representation per mathematical polynomial).
+
+This module also owns the packed form that the hot loops run on (see
+:class:`_Packing`): each monomial one ``int``, a polynomial a dict of
+``int`` numerators over one denominator.  Derivation application
+(:meth:`Derivation._apply`) and evaluation (:func:`_evaluate`) are
+written once, as kernels over that form; ``Derivation.__call__`` and
+``Poly.eval`` pack, run the kernel and unpack, and the Groebner layer
+packs with the same class.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+
+from .errors import ArityMismatch, ContextMismatch, ResourceLimitExceeded
 
 
 class Context:
@@ -115,12 +126,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
-
-    def exponent(self, vid: int) -> int:
-        for v, e in self.exps:
-            if v == vid:
-                return e
-        return 0
 
     def variables(self):
         return tuple(v for v, _ in self.exps)
@@ -249,6 +254,183 @@ def _times(left: dict, right: dict) -> dict:
     return {m: c for m, c in acc.items() if c}
 
 
+# Packed monomials ------------------------------------------------------------
+
+
+class MonomialOrder:
+    """A monomial order: graded-lex (default) or lex, both with variable
+    id 0 highest."""
+
+    __slots__ = ("kind",)
+
+    GRLEX = "grlex"
+    LEX = "lex"
+
+    def __init__(self, kind=GRLEX):
+        if kind not in (self.GRLEX, self.LEX):
+            raise ValueError(f"unknown order kind {kind!r}")
+        self.kind = kind
+
+    def key(self, m: Monomial, nvars: int):
+        key = m.grlex_key(nvars)
+        return key if self.kind == self.GRLEX else key[1]
+
+    def __eq__(self, other):
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
+
+    def __hash__(self):
+        return hash(self.kind)
+
+    def __repr__(self):
+        return f"MonomialOrder({self.kind!r})"
+
+
+# Bits per variable field; the top bit of each field is its guard.
+_FIELD = 32
+_MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+
+
+class _Packing:
+    """Monomials over ``nvars`` variables as single ints, for one order.
+
+    Variable ``v`` owns the ``_FIELD``-bit field at ``shifts[v]``, variable
+    0 highest, and under grlex the total degree sits above them all, so
+    comparing two packed ints compares the monomials in the order.  No
+    stored exponent sets the top (guard) bit of its field.  Hence the
+    product of two monomials is the sum of their ints, and that sum has
+    overflowed a field iff it sets a guard bit; ``h`` divides ``m`` iff
+    ``((m | guards) - h) & guards == guards``, since each field's guard
+    absorbs its own borrow.
+
+    A polynomial in packed form is a dict from packed monomials to ``int``
+    numerators over one denominator, kept next to it.
+    """
+
+    __slots__ = ("shifts", "top", "unit", "guards", "exps")
+
+    def __init__(self, graded: bool, nvars: int):
+        self.shifts = tuple(_FIELD * (nvars - 1 - v) for v in range(nvars))
+        ones = sum(1 << s for s in self.shifts)
+        self.guards = ones << (_FIELD - 1)
+        self.exps = self.guards - ones  # the exponent bits of every field
+        # the degree field sits above the variables; under lex its weight is 0
+        self.top = _FIELD * nvars
+        self.unit = 1 << self.top if graded else 0
+
+    def pack(self, m: Monomial) -> int:
+        x = degree = 0
+        shifts = self.shifts
+        for v, e in m.exps:
+            if e > _MAX_EXPONENT:
+                raise ResourceLimitExceeded("exponent", e, _MAX_EXPONENT)
+            x += e << shifts[v]
+            degree += e
+        return x + degree * self.unit
+
+    def unpack(self, x: int) -> Monomial:
+        return Monomial._from_sorted(
+            tuple(
+                (v, e)
+                for v, s in enumerate(self.shifts)
+                if (e := (x >> s) & _MAX_EXPONENT)
+            )
+        )
+
+    def pack_terms(self, terms: dict):
+        """``(packed, den)``: the rational ``terms`` of a polynomial in
+        packed form."""
+        (scaled,), den = _over_common_denominator(terms)
+        pack = self.pack
+        return {pack(m): c for m, c in scaled.items()}, den
+
+    def poly(self, ctx: Context, packed: dict, den: int) -> "Poly":
+        """The polynomial of ``packed`` over ``den``, terms in stored order."""
+        unpack = self.unpack
+        return Poly(ctx, {unpack(m): Fraction(c, den) for m, c in packed.items()})
+
+    def _total(self, x: int) -> int:
+        return sum((x >> s) & _MAX_EXPONENT for s in self.shifts)
+
+    def degree(self, x: int) -> int:
+        return x >> self.top if self.unit else self._total(x)
+
+    def divides(self, h: int, m: int) -> bool:
+        guards = self.guards
+        return ((m | guards) - h) & guards == guards
+
+    def lcm(self, a: int, b: int) -> int:
+        guards = self.guards
+        ge = ((a | guards) - b) & guards  # the guards of the fields where a >= b
+        take = ge - (ge >> (_FIELD - 1))  # the exponent bits of those fields
+        lcm = (a & take) | (b & (self.exps ^ take))
+        return lcm + self._total(lcm) * self.unit
+
+    def overflow(self, x: int) -> ResourceLimitExceeded:
+        """The error for a sum ``x`` of two packed monomials that set a
+        guard bit: the largest exponent it holds does not fit a field."""
+        e = max((x >> s) & ((1 << _FIELD) - 1) for s in self.shifts)
+        return ResourceLimitExceeded("exponent", e, _MAX_EXPONENT)
+
+    def point(self, point):
+        """``(coords, q)`` for evaluating at ``point``, a value per
+        variable id: its coordinates over one denominator ``q``, listed by
+        field from the lowest, so the field at bit ``s`` reads
+        ``coords[s // _FIELD]``."""
+        if len(point) != len(self.shifts):
+            raise ArityMismatch(
+                f"point has {len(point)} entries, context has {len(self.shifts)} variables"
+            )
+        (coords,), q = _over_common_denominator(dict(enumerate(map(_as_fraction, point))))
+        return [coords[v] for v in reversed(range(len(point)))], q
+
+
+@lru_cache(maxsize=None)
+def _packing(order: MonomialOrder, nvars: int) -> _Packing:
+    return _Packing(order.kind == MonomialOrder.GRLEX, nvars)
+
+
+_GRLEX = MonomialOrder()
+
+
+def _evaluate(packed: dict, den: int, at, packing: _Packing) -> Fraction:
+    """The value of the polynomial ``packed`` over ``den``, packed under
+    grlex by ``packing``, at the point ``at`` of :meth:`_Packing.point`.
+
+    One pass over the terms, in integers: with the coordinates over one
+    denominator ``q``, a term of degree k (its degree field) is an integer
+    over ``den * q**k``, and the sums per degree are lifted to the top
+    degree at the end.  Each term walks only its nonzero exponent fields,
+    from the highest; each power of a coordinate numerator is computed once
+    per (field, exponent) pair, and a term is dropped at its first zero
+    factor, which is exact because a stored exponent is positive.
+    """
+    coords, q = at
+    top = packing.top
+    low = (1 << top) - 1
+    mask = -_FIELD
+    powers = {}
+    by_degree = {}
+    for m, val in packed.items():
+        x = m & low
+        while x:
+            s = (x.bit_length() - 1) & mask
+            e = x >> s
+            key = e << s
+            x -= key
+            p = powers.get(key)
+            if p is None:
+                p = powers[key] = coords[s // _FIELD] ** e
+            if not p:
+                break
+            val *= p
+        else:
+            k = m >> top
+            by_degree[k] = by_degree.get(k, 0) + val
+    top = max(by_degree, default=0)
+    total = sum(part * q ** (top - k) for k, part in by_degree.items())
+    return Fraction(total, den * q**top)
+
+
 class Poly:
     """A polynomial: map from :class:`Monomial` to nonzero ``Fraction``.
 
@@ -294,8 +476,6 @@ class Poly:
 
     def _check(self, other: "Poly"):
         if self.ctx is not other.ctx:
-            from .errors import ContextMismatch
-
             raise ContextMismatch("polynomials from different variable contexts")
 
     def __add__(self, other):
@@ -357,45 +537,12 @@ class Poly:
     # Evaluation and substitution ----------------------------------------
 
     def eval(self, point) -> Fraction:
-        """Evaluate at a point indexed by variable id (full arity).
-
-        One pass over the terms, in integers: with the coefficients over
-        one denominator ``dc`` and the coordinates over one denominator
-        ``q``, a term of degree k is an integer over ``dc * q**k``, and the
-        sums per degree are lifted to the top degree at the end.  Each
-        power of a coordinate numerator is computed once per (variable,
-        exponent) pair, and a term is dropped at its first zero factor;
-        this is exact because every stored exponent is positive, so a zero
-        coordinate makes every power of it zero.
-        """
-        if len(point) != len(self.ctx):
-            from .errors import ArityMismatch
-
-            raise ArityMismatch(
-                f"point has {len(point)} entries, context has {len(self.ctx)} variables"
-            )
-        (coords,), q = _over_common_denominator(
-            {v: _as_fraction(x) for v, x in enumerate(point)}
-        )
-        (terms,), dc = _over_common_denominator(self.terms)
-        powers = {}
-        by_degree = {}
-        for m, val in terms.items():
-            k = 0
-            for factor in m.exps:
-                x = powers.get(factor)
-                if x is None:
-                    v, e = factor
-                    x = powers[factor] = coords[v] ** e
-                if not x:
-                    break
-                val *= x
-                k += factor[1]
-            else:
-                by_degree[k] = by_degree.get(k, 0) + val
-        top = max(by_degree, default=0)
-        total = sum(part * q ** (top - k) for k, part in by_degree.items())
-        return Fraction(total, dc * q**top)
+        """Evaluate at a point indexed by variable id (full arity), by the
+        packed kernel :func:`_evaluate`."""
+        packing = _packing(_GRLEX, len(self.ctx))
+        at = packing.point(point)
+        packed, den = packing.pack_terms(self.terms)
+        return _evaluate(packed, den, at, packing)
 
     def substitute(self, images: dict) -> "Poly":
         """Homomorphic substitution; ``images`` maps variable id -> Poly.
@@ -408,15 +555,11 @@ class Poly:
             if target is None:
                 target = p.ctx
             elif p.ctx is not target:
-                from .errors import ContextMismatch
-
                 raise ContextMismatch("substitution images in different contexts")
         if target is None:
             target = self.ctx
         missing = self.variables() - set(images)
         if missing:
-            from .errors import ArityMismatch
-
             names = sorted(self.ctx.name_of(v) for v in missing)
             raise ArityMismatch(f"no image for variables {names}")
         # each power images[v] ** e once; then, in integers over one
@@ -496,24 +639,25 @@ class Derivation:
     Missing images default to 0, so a derivation is always total.  Applying
     it satisfies linearity and the Leibniz rule exactly.
 
-    ``_scaled`` holds the nonzero images over one common denominator,
-    ``({vid: {Monomial: int}}, d)``.  It is computed at the first
-    application and kept, since the images never change; a derivation that
-    is built but never applied (those of a closure's input systems are only
-    read) does not pay for it.
+    ``_packed`` holds the nonzero images in the form :meth:`_apply` runs
+    on, for one packing: ``(packing, images, d)``, where ``images`` lists
+    ``(shift of v, ((packed image term / v, int coefficient), ...))`` by
+    increasing variable id ``v`` and ``d`` is the images' common
+    denominator.  It is built at the first application and rebuilt only
+    when the context has grown since; a derivation that is built but never
+    applied (those of a closure's input systems are only read) does not pay
+    for it.
     """
 
-    __slots__ = ("ctx", "images", "_scaled")
+    __slots__ = ("ctx", "images", "_packed")
 
     def __init__(self, ctx: Context, images: dict):
         for p in images.values():
             if p.ctx is not ctx:
-                from .errors import ContextMismatch
-
                 raise ContextMismatch("derivation image outside the context")
         self.ctx = ctx
         self.images = dict(images)
-        self._scaled = None
+        self._packed = None
 
     @property
     def degree(self) -> int:
@@ -525,42 +669,53 @@ class Derivation:
         return self.images.get(vid, self.ctx.zero())
 
     def __call__(self, p: Poly) -> Poly:
-        """Apply the derivation: sum over terms c*m and variables v^e of m
-        of c*e * (m / v) * image(v).
-
-        One pass over the input terms, accumulating integer numerators
-        (input and images each over one common denominator, the images'
-        computed once) into one dict
-        that becomes the output polynomial: one ``Fraction`` per nonzero
-        output coefficient, zero sums dropped once, at the end.
-        Exponents are always positive, so m / v either lowers the exponent
-        of v or drops v when it reaches 0, and the result stays a sorted
-        tuple of positive exponents.
-        """
+        """Apply the derivation: pack ``p``, run :meth:`_apply`, unpack."""
         if p.ctx is not self.ctx:
-            from .errors import ContextMismatch
-
             raise ContextMismatch("derivation applied outside its context")
-        if self._scaled is None:
-            nonzero = {v: img.terms for v, img in self.images.items() if img.terms}
-            scaled, di = _over_common_denominator(*nonzero.values())
-            self._scaled = dict(zip(nonzero, scaled)), di
-        images, di = self._scaled
-        (terms,), dp = _over_common_denominator(p.terms)
+        packing = _packing(_GRLEX, len(self.ctx))
+        packed, den = self._apply(*packing.pack_terms(p.terms), packing)
+        return packing.poly(self.ctx, packed, den)
+
+    def _apply(self, packed: dict, den: int, packing: _Packing):
+        """The derivation of the polynomial ``packed`` over ``den``, in
+        the same form: sum over terms c*m and variables v^e of m of
+        c*e * (m / v) * image(v).
+
+        The terms come out in the order of the input terms, then of the
+        variables of each term by increasing id, then of the image terms
+        as stored; sums that cancel to 0 are dropped.  A term is ``m``
+        plus the packed ``image term / v``, which is exact because v
+        occurs in m.  A kept term that sets a guard bit has an exponent
+        past its field and raises :class:`ResourceLimitExceeded` with cap
+        ``'exponent'``.
+        """
+        cached = self._packed
+        if cached is None or cached[0] is not packing:
+            cached = self._packed = (packing, *self._pack_images(packing))
+        _, images, di = cached
+        guards = packing.guards
         out = {}
-        for m, c in terms.items():
-            exps = m.exps
-            for i, (v, e) in enumerate(exps):
-                img = images.get(v)
-                if img is None:
-                    continue
-                if e == 1:
-                    rest = Monomial._from_sorted(exps[:i] + exps[i + 1 :])
-                else:
-                    rest = Monomial._from_sorted(exps[:i] + ((v, e - 1),) + exps[i + 1 :])
-                ce = c * e
-                for im, ic in img.items():
-                    key = im * rest
-                    out[key] = out.get(key, 0) + ic * ce
-        d = dp * di
-        return Poly(self.ctx, {m: Fraction(c, d) for m, c in out.items() if c})
+        get = out.get
+        for m, c in packed.items():
+            for s, image in images:
+                e = m >> s & _MAX_EXPONENT
+                if e:
+                    ce = c * e
+                    for off, ic in image:
+                        t = m + off
+                        out[t] = get(t, 0) + ic * ce
+        out = {t: c for t, c in out.items() if c}
+        for t in out:
+            if t & guards:
+                raise packing.overflow(t)
+        return out, den * di
+
+    def _pack_images(self, packing: _Packing):
+        nonzero = {v: self.images[v].terms for v in sorted(self.images) if self.images[v].terms}
+        scaled, di = _over_common_denominator(*nonzero.values())
+        pack, shifts = packing.pack, packing.shifts
+        images = []
+        for v, terms in zip(nonzero, scaled):
+            unit = (1 << shifts[v]) + packing.unit  # the packed v
+            images.append((shifts[v], tuple((pack(m) - unit, c) for m, c in terms.items())))
+        return tuple(images), di

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._saturation import ZeroVerdict
-from ._system import System, adjoin, decide, inverse, union
+from ._system import System, adjoin, decide, fold, fold_value, inverse, union
 from .errors import ArityMismatch, NotStandardForm, NotWellPosed
 from .poly import Context, Derivation, Poly
 
@@ -134,9 +134,8 @@ def delta_letter(m: Wbpp, letter, config: Poly) -> Poly:
 
 
 def delta_word(m: Wbpp, word, config: Poly) -> Poly:
-    for a in m.parse_word(word):
-        config = m.op(a)(config)
-    return config
+    packing, packed, den = fold(config, _ops(m, word))
+    return packing.poly(config.ctx, packed, den)
 
 
 def output_value(m: Wbpp, config: Poly) -> Fraction:
@@ -145,7 +144,11 @@ def output_value(m: Wbpp, config: Poly) -> Fraction:
 
 
 def evaluate(m: Wbpp, config: Poly, word) -> Fraction:
-    return output_value(m, delta_word(m, word, config))
+    return fold_value(config, _ops(m, word), m.outputs)
+
+
+def _ops(m: Wbpp, word) -> list:
+    return [m.op(a) for a in m.parse_word(word)]
 
 
 def coeffs_up_to(m: Wbpp, config: Poly, length: int) -> dict:

@@ -117,6 +117,17 @@ def test_coeff_via_lie_examples():
     assert C.coeff_via_lie(cayley_series(), (4,)) == 64
 
 
+def test_coeff_via_lie_rejects_negative_exponents():
+    ctx = Context(["t1", "t2"])
+    sys = C.CdfSystem(
+        ("x1", "x2"), ["t1", "t2"], {("t1", 1): ctx.one(), ("t2", 2): ctx.one()}, [1, 1]
+    )
+    plane = C.CdfSeries(sys, sys.ctx.var("t1") * sys.ctx.var("t2"))
+    for series, n in ((exp_series(), (-1,)), (plane, (1, -1)), (plane, (-3, 0))):
+        with pytest.raises(ValueError, match="negative exponent"):
+            C.coeff_via_lie(series, n)
+
+
 def test_zeroness_invariant_polynomial():
     sys = sin_cos_system()
     p = sys.ctx.var("s") ** 2 + sys.ctx.var("c") ** 2 - 1

@@ -1,0 +1,201 @@
+"""Words of derivations run packed: ``coeff_via_lie``, ``wbpp.evaluate``
+and ``delta_word`` fold one packed kernel per letter and evaluate once.
+Each must give what the plain-Fraction reference below gives: apply the
+derivation letter by letter to dense exponent tuples, then evaluate."""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from zeroness import _system, cli
+from zeroness import cdf as C
+from zeroness import wbpp as W
+from zeroness.errors import ResourceLimitExceeded
+from zeroness.poly import _MAX_EXPONENT, Context, Derivation, Monomial, Poly
+
+GENERATORS = ("a", "b", "c")
+LETTERS = ("p", "q")
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+coordinates = st.one_of(st.just(Fraction(0)), fractions)
+
+
+def ref_derive(images, p):
+    """The derivation with ``images`` (variable -> dense polynomial) of the
+    dense polynomial ``p``, a dict from exponent tuples to Fractions."""
+    out = {}
+    for exps, c in p.items():
+        for v, e in enumerate(exps):
+            if e == 0 or v not in images:
+                continue
+            rest = exps[:v] + (e - 1,) + exps[v + 1 :]
+            for image_exps, ic in images[v].items():
+                key = tuple(a + b for a, b in zip(rest, image_exps))
+                out[key] = out.get(key, Fraction(0)) + c * e * ic
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_eval(p, point):
+    total = Fraction(0)
+    for exps, c in p.items():
+        for x, e in zip(point, exps):
+            c *= x**e
+        total += c
+    return total
+
+
+def to_poly(ctx, p):
+    return Poly(ctx, {Monomial(tuple(enumerate(e))): c for e, c in p.items()})
+
+
+def to_dense(poly, nvars):
+    out = {}
+    for m, c in poly.terms.items():
+        exps = [0] * nvars
+        for v, e in m.exps:
+            exps[v] = e
+        out[tuple(exps)] = c
+    return out
+
+
+def dense_polys(nvars, max_size=4):
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), fractions)
+
+    def merge(terms):
+        p = {}
+        for exps, c in terms:
+            p[exps] = p.get(exps, Fraction(0)) + c
+        return {e: c for e, c in p.items() if c}
+
+    return st.lists(term, max_size=max_size).map(merge)
+
+
+@st.composite
+def systems(draw, ops):
+    """(nvars, images per op, point, start polynomial), all dense."""
+    nvars = draw(st.integers(1, 3))
+    images = [
+        draw(st.dictionaries(st.integers(0, nvars - 1), dense_polys(nvars, 3), max_size=nvars))
+        for _ in range(ops)
+    ]
+    point = draw(st.lists(coordinates, min_size=nvars, max_size=nvars))
+    return nvars, images, point, draw(dense_polys(nvars))
+
+
+def cdf_series(nvars, images, point, expr):
+    ctx = Context(GENERATORS[:nvars])
+    kernel = {
+        (GENERATORS[v], axis): to_poly(ctx, p)
+        for axis, op in enumerate(images, start=1)
+        for v, p in op.items()
+    }
+    names = ("x1", "x2")[: len(images)]
+    sys = C.CdfSystem(names, GENERATORS[:nvars], kernel, point)
+    return C.CdfSeries(sys, to_poly(sys.ctx, expr))
+
+
+@st.composite
+def lie_cases(draw):
+    axes = draw(st.sampled_from([1, 2]))
+    case = draw(systems(axes))
+    return case, tuple(draw(st.lists(st.integers(0, 3), min_size=axes, max_size=axes)))
+
+
+# x' = y, y' = -x, x^2 + y^2 is invariant
+ROTATION = [{0: {(0, 1): Fraction(1)}, 1: {(1, 0): Fraction(-1)}}]
+
+
+@given(lie_cases())
+@example(((2, ROTATION, [Fraction(3, 5), Fraction(4, 5)], {(2, 0): 1, (0, 2): 1}), (3,)))
+@example(((2, ROTATION, [Fraction(1, 2), 0], {(1, 1): Fraction(5, 12)}), (0,)))  # empty word
+@example(((1, [{0: {(2,): Fraction(1, 7)}}, {}], [0], {}), (2, 1)))  # zero expression
+@settings(max_examples=150, deadline=None)
+def test_lie_fold_matches_fraction_reference(case):
+    (nvars, images, point, expr), n = case
+    want = expr
+    for op, count in zip(images, n):
+        for _ in range(count):
+            want = ref_derive(op, want)
+    series = cdf_series(nvars, images, point, expr)
+    value = C.coeff_via_lie(series, n)
+    assert value == ref_eval(want, point)
+    assert type(value) is Fraction
+
+
+@given(systems(len(LETTERS)), st.lists(st.sampled_from(LETTERS), max_size=4))
+@example((1, [{0: {(2,): 1}}, {}], [0], {(1,): Fraction(1, 12)}), [])
+@example((2, [{0: {(0, 1): Fraction(2, 3)}}, {1: {(0, 0): -1}}], [0, 5], {}), ["p", "q"])
+@settings(max_examples=150, deadline=None)
+def test_process_fold_matches_fraction_reference(case, word):
+    nvars, images, point, start = case
+    want = start
+    for letter in word:
+        want = ref_derive(images[LETTERS.index(letter)], want)
+    ctx = Context(GENERATORS[:nvars])
+    transitions = {
+        (letter, GENERATORS[v]): to_poly(ctx, p)
+        for letter, op in zip(LETTERS, images)
+        for v, p in op.items()
+    }
+    outputs = dict(zip(GENERATORS, point))
+    m = W.Wbpp(LETTERS, GENERATORS[:nvars], "a", transitions, outputs)
+    config = to_poly(m.ctx, start)
+    value = W.evaluate(m, config, "".join(word))
+    assert value == ref_eval(want, point)
+    assert type(value) is Fraction
+    configured = W.delta_word(m, "".join(word), config)
+    assert to_dense(configured, nvars) == want
+    for c in configured.terms.values():
+        assert type(c) is Fraction and c != 0
+
+
+def test_derivation_after_its_context_grows():
+    ctx = Context(["x"])
+    x = ctx.var("x")
+    d = Derivation(ctx, {0: x**2 + 1})
+    assert d(x**3) == 3 * x**4 + 3 * x**2
+    assert _system.fold_value(x, [d, d], [2]) == 20  # d(d(x)) = 2x^3 + 2x
+    y = ctx.var_by_id(ctx.add("y"))
+    # the images were packed for one variable; now the terms have two
+    assert d(x**3 * y) == (3 * x**4 + 3 * x**2) * y
+    assert d(y).is_zero()
+    assert _system.fold_value(x * y, [d, d], [2, 3]) == 60  # 2x(x^2 + 1)y
+    e = Derivation(ctx, {1: x})
+    assert _system.fold_value(y**2, [e, d], [2, 3]) == 30  # d(2xy) = 2(x^2 + 1)y
+
+
+@pytest.mark.parametrize("top", [_MAX_EXPONENT, 2**40])
+def test_fold_exponent_overflow_is_a_resource_cap(top):
+    # with e' = e^2, one letter takes e^M to M e^(M+1): past the field
+    want = _MAX_EXPONENT + 1 if top == _MAX_EXPONENT else top
+    ctx = Context(["e"])
+    e = ctx.var("e")
+    sys = C.CdfSystem(("x1",), ["e"], {("e", 1): e**2}, [1])
+    big = Poly(sys.ctx, {Monomial(((0, top),)): Fraction(1)})
+    m = W.Wbpp(["a"], ["X"], "X", {("a", "X"): Context(["X"]).var("X") ** 2}, {"X": 1})
+    config = Poly(m.ctx, {Monomial(((0, top),)): Fraction(2)})
+    for run in (
+        lambda: C.coeff_via_lie(C.CdfSeries(sys, big), (1,)),
+        lambda: W.evaluate(m, config, "a"),
+        lambda: W.delta_word(m, "a", config),
+        lambda: m.op("a")(config),
+    ):
+        with pytest.raises(ResourceLimitExceeded) as refused:
+            run()
+        assert (refused.value.cap, refused.value.value) == ("exponent", want)
+        assert refused.value.limit == _MAX_EXPONENT
+
+    # the command line reports it as a resource limit, exit code 4
+    huge = W.Wbpp.of(m.alphabet, m.core, config)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_load", return_value=("wbpp", huge)):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["eval", "huge.wbpp", "--word", "a"])
+    assert code == 4
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("INCONCLUSIVE_RESOURCE_LIMIT (resource cap 'exponent'")
