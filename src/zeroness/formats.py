@@ -3,7 +3,9 @@ formats (.wbpp and .bpp processes, .cdf systems, .spec species).
 
 Polynomial syntax: integer and rational literals (``3``, ``-5/2``),
 identifiers, ``+ - * ^`` and parentheses; multiplication is always
-explicit.  ``#`` starts a comment everywhere.  Printing is canonical
+explicit.  The .cdf ``expr =`` line uses the same grammar plus
+``restrict(e; phi)``.  ``#`` starts a comment everywhere.  Every
+malformed input raises ``ParseError``.  Printing is canonical
 (graded-lex descending terms), and print-then-parse reproduces a
 structurally identical model.
 """
@@ -19,8 +21,9 @@ from .groebner import DEFAULT_LIMITS
 from .poly import Context, Poly
 from .wbpp import Wbpp
 
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"\s*(?:(?P<num>\d+)|(?P<ident>{_IDENT.pattern})"
     r"|(?P<op><-|==|&&|\|\||>=|<=|[-+*^()/%{};=,!])|(?P<bad>\S))"
 )
 
@@ -76,70 +79,119 @@ class _Tokens:
             self.fail(f"a polynomial of degree {degree} exceeds the degree cap {cap}")
 
 
-# Polynomial expressions -------------------------------------------------------
+def _parse_all(rule, text, line, *args):
+    ts = _Tokens(tokenize(text, line), line)
+    try:
+        value = rule(ts, *args)
+    except RecursionError:
+        ts.fail("input nested too deeply")
+    if not ts.done():
+        ts.fail(f"trailing input {ts.peek()!r}")
+    return value
+
+
+def _integer(ts, what):
+    tok = ts.next()
+    if not tok.isdigit():
+        ts.fail(f"{what} must be a number, got {tok!r}")
+    return int(tok)
+
+
+# Expressions ------------------------------------------------------------------------
+#
+# One grammar serves polynomials and the .cdf ``expr =`` line.  Given a
+# system, ``restrict(e; phi)`` is a keyword and values climb from
+# polynomials to series-level closure operations; without one, every
+# value is a polynomial of ``ctx``.
 
 
 def parse_poly(text, ctx: Context, line=None) -> Poly:
-    ts = _Tokens(tokenize(text, line), line)
-    p = _poly_expr(ts, ctx)
-    if not ts.done():
-        ts.fail(f"trailing input {ts.peek()!r}")
-    return p
+    return _parse_all(_expr_sum, text, line, ctx, None)
 
 
-def _poly_expr(ts, ctx):
-    p = _poly_term(ts, ctx)
+def _as_series(value, system):
+    if isinstance(value, cdf.CdfSeries):
+        return value
+    return cdf.CdfSeries(system, value)
+
+
+def _expr_sum(ts, ctx, system):
+    value = _expr_term(ts, ctx, system)
     while ts.peek() in ("+", "-"):
-        if ts.next() == "+":
-            p = p + _poly_term(ts, ctx)
+        op = ts.next()
+        rhs = _expr_term(ts, ctx, system)
+        if isinstance(value, Poly) and isinstance(rhs, Poly):
+            value = value + rhs if op == "+" else value - rhs
         else:
-            p = p - _poly_term(ts, ctx)
-    return p
+            lhs = _as_series(value, system)
+            rhs = _as_series(rhs, system)
+            value = cdf.c_add(lhs, cdf.c_scale(rhs, 1 if op == "+" else -1))
+    return value
 
 
-def _poly_term(ts, ctx):
-    p = _poly_factor(ts, ctx)
+def _expr_term(ts, ctx, system):
+    value = _expr_factor(ts, ctx, system)
     while ts.peek() == "*":
         ts.next()
-        q = _poly_factor(ts, ctx)
-        ts.cap_degree(p.degree + q.degree)
-        p = p * q
-    return p
+        rhs = _expr_factor(ts, ctx, system)
+        if isinstance(value, Poly) and isinstance(rhs, Poly):
+            ts.cap_degree(value.degree + rhs.degree)
+            value = value * rhs
+        else:
+            value = cdf.c_mul(_as_series(value, system), _as_series(rhs, system))
+    return value
 
 
-def _poly_factor(ts, ctx):
+def _expr_factor(ts, ctx, system):
     negate = False
     while ts.peek() == "-":
         ts.next()
         negate = not negate
-    p = _poly_primary(ts, ctx)
+    value = _expr_primary(ts, ctx, system)
     if ts.peek() == "^":
         ts.next()
-        exp = ts.next()
-        if not exp.isdigit():
-            ts.fail(f"exponent must be a number, got {exp!r}")
-        n = int(exp)
-        ts.cap_degree(n * p.degree)
-        p = p ** n
-    return -p if negate else p
+        n = _integer(ts, "exponent")
+        # a constant power costs time linear in n, and a series power is n
+        # closure products, so n itself is capped too
+        ts.cap_degree(n * max(value.degree, 1) if isinstance(value, Poly) else n)
+        if isinstance(value, Poly):
+            value = value ** n
+        else:
+            out = _as_series(ctx.one(), system)
+            for _ in range(n):
+                out = cdf.c_mul(out, value)
+            value = out
+    if negate:
+        if isinstance(value, Poly):
+            value = -value
+        else:
+            value = cdf.c_scale(value, -1)
+    return value
 
 
-def _poly_primary(ts, ctx):
+def _expr_primary(ts, ctx, system):
     tok = ts.next()
+    if tok == "restrict" and system is not None:
+        ts.expect("(")
+        inner = _as_series(_expr_sum(ts, ctx, system), system)
+        ts.expect(";")
+        constraint = _constraint_or(ts)
+        ts.expect(")")
+        return cdf.restrict_regular(inner, constraint)
     if tok.isdigit():
         num = int(tok)
         if ts.peek() == "/":
             ts.next()
-            den = ts.next()
-            if not den.isdigit() or int(den) == 0:
-                ts.fail(f"bad denominator {den!r}")
-            return ctx.const(Fraction(num, int(den)))
+            den = _integer(ts, "denominator")
+            if den == 0:
+                ts.fail("zero denominator")
+            return ctx.const(Fraction(num, den))
         return ctx.const(num)
     if tok == "(":
-        p = _poly_expr(ts, ctx)
+        value = _expr_sum(ts, ctx, system)
         ts.expect(")")
-        return p
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+        return value
+    if _IDENT.fullmatch(tok):
         if tok not in ctx:
             ts.fail(f"unknown variable {tok!r}")
         return ctx.var(tok)
@@ -150,11 +202,7 @@ def _poly_primary(ts, ctx):
 
 
 def parse_constraint(text, line=None):
-    ts = _Tokens(tokenize(text, line), line)
-    c = _constraint_or(ts)
-    if not ts.done():
-        ts.fail(f"trailing input {ts.peek()!r}")
-    return c
+    return _parse_all(_constraint_or, text, line)
 
 
 def _constraint_or(ts):
@@ -185,6 +233,9 @@ def _constraint_not(ts):
     return _constraint_atom(ts)
 
 
+_COMPARISONS = {"==": constraints.Eq, ">=": constraints.ge, "<=": constraints.le}
+
+
 def _constraint_atom(ts):
     tok = ts.next()
     if tok == "true":
@@ -195,21 +246,12 @@ def _constraint_atom(ts):
     axis = int(m.group(1))
     op = ts.next()
     if op == "%":
-        modulus = int(ts.next())
+        modulus = _integer(ts, "modulus")
         ts.expect("==")
-        residue = int(ts.next())
-        return constraints.ModEq(axis, residue, modulus)
-    if op == "==":
-        return constraints.Eq(axis, int(ts.next()))
-    if op == ">=":
-        return constraints.ge(axis, int(ts.next()))
-    if op == "<=":
-        return constraints.le(axis, int(ts.next()))
-    ts.fail(f"unknown comparison {op!r}")
-
-
-def format_constraint(c) -> str:
-    return str(c)
+        return constraints.ModEq(axis, _integer(ts, "residue"), modulus)
+    if op not in _COMPARISONS:
+        ts.fail(f"unknown comparison {op!r}")
+    return _COMPARISONS[op](axis, _integer(ts, "bound"))
 
 
 # Shared line handling --------------------------------------------------------------
@@ -222,26 +264,52 @@ def _logical_lines(text):
             yield lineno, line
 
 
+def _declare(table, key, value, lineno, what):
+    """Record ``(value, lineno)`` under ``key``; a second declaration of the
+    same thing is an error, never a silent overwrite."""
+    if key in table:
+        raise ParseError(f"{what} is declared twice (first on line {table[key][1]})", lineno)
+    table[key] = (value, lineno)
+
+
+def _names(rest, lineno):
+    names = rest.split()
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ParseError(f"{name!r} is listed twice", lineno)
+        seen.add(name)
+    return names
+
+
+def _constant(text, ctx, lineno):
+    p = parse_poly(text, ctx, lineno)
+    if not p.is_constant():
+        raise ParseError(f"expected a constant, got {text!r}", lineno)
+    return Fraction(p.constant_term())
+
+
+def _require(heads, *names):
+    for name in names:
+        if name not in heads:
+            raise ParseError(f"missing {name!r} line")
+
+
 # .wbpp format -----------------------------------------------------------------------
 
 
 def parse_wbpp(text):
     """Parse a process model; returns (model, warnings)."""
-    alphabet, nonterminals, start = None, None, None
-    outputs, deltas = {}, {}
+    heads, outputs, deltas = {}, {}, {}
     for lineno, line in _logical_lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "alphabet":
-            alphabet = rest.split()
-        elif head == "nonterminals":
-            nonterminals = rest.split()
-        elif head == "start":
-            start = rest
+        if head in ("alphabet", "nonterminals", "start"):
+            _declare(heads, head, rest, lineno, f"{head!r}")
         elif head == "output":
             name, _, value = rest.partition("=")
             name = name.strip()
-            outputs[(name, lineno)] = value.strip()
+            _declare(outputs, name, value.strip(), lineno, f"output {name}")
         elif head == "delta":
             try:
                 letter, nt, eq, value = rest.split(None, 3)
@@ -249,25 +317,23 @@ def parse_wbpp(text):
                 raise ParseError("delta lines read: delta <letter> <nt> = <poly>", lineno)
             if eq != "=":
                 raise ParseError("delta lines read: delta <letter> <nt> = <poly>", lineno)
-            deltas[(letter, nt, lineno)] = value
+            _declare(deltas, (letter, nt), value, lineno, f"delta {letter} {nt}")
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
-    if alphabet is None:
-        raise ParseError("missing 'alphabet' line")
-    if nonterminals is None:
-        raise ParseError("missing 'nonterminals' line")
-    if start is None:
-        raise ParseError("missing 'start' line")
+    _require(heads, "alphabet", "nonterminals", "start")
+    alphabet = _names(*heads["alphabet"])
+    nonterminals = _names(*heads["nonterminals"])
+    start = heads["start"][0]
     if start not in nonterminals:
         raise ParseError(f"start nonterminal {start!r} not declared")
     ctx = Context(nonterminals)
     transitions = {}
     seen_outputs = {}
-    for (name, lineno), value in outputs.items():
+    for name, (value, lineno) in outputs.items():
         if name not in ctx:
             raise ParseError(f"output for undeclared nonterminal {name!r}", lineno)
-        seen_outputs[name] = Fraction(parse_poly(value, ctx, lineno).constant_term())
-    for (letter, nt, lineno), value in deltas.items():
+        seen_outputs[name] = _constant(value, ctx, lineno)
+    for (letter, nt), (value, lineno) in deltas.items():
         if letter not in alphabet:
             raise ParseError(f"delta on undeclared letter {letter!r}", lineno)
         if nt not in ctx:
@@ -316,27 +382,25 @@ def parse_bpp(text):
     """
     from .wbpp import BppSpec
 
-    rules = {}
-    start = None
+    rules, heads = {}, {}
     for lineno, line in _logical_lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "start":
-            start = rest
+            _declare(heads, head, rest, lineno, "'start'")
             continue
         if head != "rule":
             raise ParseError(f"unknown directive {head!r}", lineno)
         name, eq, body = rest.partition("=")
         name = name.strip()
-        if not eq or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        if not eq or not _IDENT.fullmatch(name):
             raise ParseError("rule lines read: rule <nt> = <summands>", lineno)
         if name in rules:
             raise ParseError(f"duplicate rule for {name!r}", lineno)
         rules[name] = _parse_bpp_body(body.strip(), lineno)
     if not rules:
         raise ParseError("no rules")
-    if start is None:
-        start = next(iter(rules))
+    start = heads["start"][0] if heads else next(iter(rules))
     return BppSpec(rules, start)
 
 
@@ -347,7 +411,7 @@ def _parse_bpp_body(text, lineno):
         action, dot, merge = chunk.partition(".")
         action = action.strip()
         merge = merge.strip()
-        if not dot or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", action):
+        if not dot or not _IDENT.fullmatch(action):
             raise ParseError(
                 f"summand {chunk!r} is not action-prefixed (standard form)", lineno
             )
@@ -359,7 +423,7 @@ def _parse_bpp_body(text, lineno):
         else:
             components = []
             for p in parts:
-                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", p) or p == "end":
+                if not _IDENT.fullmatch(p) or p == "end":
                     raise ParseError(f"bad merge component {p!r}", lineno)
                 components.append(p)
             components = tuple(components)
@@ -386,165 +450,51 @@ def format_bpp(spec) -> str:
 
 
 def parse_cdf(text) -> cdf.CdfSeries:
-    base, gens = None, None
-    inits, kernel_lines, expr_line = {}, [], None
+    heads, inits, kernel_lines = {}, {}, {}
     for lineno, line in _logical_lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "vars":
-            base = rest.split()
-        elif head == "gens":
-            gens = rest.split()
+        if head in ("vars", "gens"):
+            _declare(heads, head, rest, lineno, f"{head!r}")
         elif head == "init":
             name, _, value = rest.partition("=")
-            inits[name.strip()] = (value.strip(), lineno)
+            name = name.strip()
+            _declare(inits, name, value.strip(), lineno, f"init {name}")
         elif head.startswith("d/d"):
-            var = head[3:]
             name, _, value = rest.partition("=")
-            kernel_lines.append((var, name.strip(), value.strip(), lineno))
+            name = name.strip()
+            _declare(kernel_lines, (head[3:], name), value.strip(), lineno, f"{head} {name}")
         elif head == "expr":
             stripped = line[4:].strip()
             if not stripped.startswith("="):
                 raise ParseError("expr lines read: expr = <expression>", lineno)
-            expr_line = (stripped[1:].strip(), lineno)
+            _declare(heads, head, stripped[1:].strip(), lineno, "'expr'")
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
-    if base is None:
-        raise ParseError("missing 'vars' line")
-    if gens is None:
-        raise ParseError("missing 'gens' line")
-    if expr_line is None:
-        raise ParseError("missing 'expr' line")
-    mixed = Context(list(gens) + [b for b in base if b not in gens])
+    _require(heads, "vars", "gens", "expr")
+    base = _names(*heads["vars"])
+    gens = _names(*heads["gens"])
+    both = sorted(set(base).intersection(gens))
+    if both:
+        raise ParseError(f"{both[0]!r} is both a variable and a generator", heads["gens"][1])
+    for name, (_, lineno) in inits.items():
+        if name not in gens:
+            raise ParseError(f"init of undeclared generator {name!r}", lineno)
+    mixed = Context(gens + base)
     init = []
     for g in gens:
         value, lineno = inits.get(g, ("0", None))
-        init.append(parse_poly(value, mixed, lineno).constant_term())
+        init.append(_constant(value, mixed, lineno))
     kernel = {}
-    for var, name, value, lineno in kernel_lines:
+    for (var, name), (value, lineno) in kernel_lines.items():
         if var not in base:
             raise ParseError(f"derivative along undeclared variable {var!r}", lineno)
         if name not in gens:
             raise ParseError(f"derivative of undeclared generator {name!r}", lineno)
         kernel[(name, base.index(var) + 1)] = parse_poly(value, mixed, lineno)
     system = cdf.autonomize(base, gens, kernel, init)
-    return _eval_series_expr(expr_line[0], system, expr_line[1])
-
-
-def _eval_series_expr(text, system, line=None):
-    """Evaluate an expression over a system; plain polynomials stay at the
-    expression level, restrict(...) climbs to series-level closure ops."""
-    ts = _Tokens(tokenize(text, line), line)
-    out = _series_sum(ts, system)
-    if not ts.done():
-        ts.fail(f"trailing input {ts.peek()!r}")
-    return _as_series(out, system)
-
-
-def _as_series(value, system):
-    if isinstance(value, cdf.CdfSeries):
-        return value
-    return cdf.CdfSeries(system, value)
-
-
-def _series_sum(ts, system):
-    value = _series_term(ts, system)
-    while ts.peek() in ("+", "-"):
-        op = ts.next()
-        rhs = _series_term(ts, system)
-        if isinstance(value, Poly) and isinstance(rhs, Poly):
-            value = value + rhs if op == "+" else value - rhs
-        else:
-            lhs = _as_series(value, system)
-            rhs = _as_series(rhs, system)
-            value = cdf.c_add(lhs, cdf.c_scale(rhs, 1 if op == "+" else -1))
-    return value
-
-
-def _series_term(ts, system):
-    value = _series_factor(ts, system)
-    while ts.peek() == "*":
-        ts.next()
-        rhs = _series_factor(ts, system)
-        if isinstance(value, Poly) and isinstance(rhs, Poly):
-            ts.cap_degree(value.degree + rhs.degree)
-            value = value * rhs
-        else:
-            value = cdf.c_mul(_as_series(value, system), _as_series(rhs, system))
-    return value
-
-
-def _series_factor(ts, system):
-    negate = False
-    while ts.peek() == "-":
-        ts.next()
-        negate = not negate
-    value = _series_primary(ts, system)
-    if ts.peek() == "^":
-        ts.next()
-        exp = ts.next()
-        if not exp.isdigit():
-            ts.fail(f"exponent must be a number, got {exp!r}")
-        n = int(exp)
-        # a series power is n closure products, so n itself is capped too
-        ts.cap_degree(n * max(value.degree, 1) if isinstance(value, Poly) else n)
-        if isinstance(value, Poly):
-            value = value ** n
-        else:
-            out = _as_series(system.ctx.one(), system)
-            for _ in range(n):
-                out = cdf.c_mul(out, value)
-            value = out
-    if negate:
-        if isinstance(value, Poly):
-            value = -value
-        else:
-            value = cdf.c_scale(value, -1)
-    return value
-
-
-def _series_primary(ts, system):
-    tok = ts.peek()
-    if tok == "restrict":
-        ts.next()
-        ts.expect("(")
-        inner = _series_sum(ts, system)
-        ts.expect(";")
-        ctext = []
-        depth = 0
-        while True:
-            nxt = ts.peek()
-            if nxt is None:
-                ts.fail("unterminated restrict(...)")
-            if nxt == "(":
-                depth += 1
-            elif nxt == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            ctext.append(ts.next())
-        ts.expect(")")
-        constraint = parse_constraint(" ".join(ctext), ts.line)
-        return cdf.restrict_regular(_as_series(inner, system), constraint)
-    tok = ts.next()
-    if tok.isdigit():
-        num = int(tok)
-        if ts.peek() == "/":
-            ts.next()
-            den = ts.next()
-            if not den.isdigit() or int(den) == 0:
-                ts.fail(f"bad denominator {den!r}")
-            return system.ctx.const(Fraction(num, int(den)))
-        return system.ctx.const(num)
-    if tok == "(":
-        value = _series_sum(ts, system)
-        ts.expect(")")
-        return value
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-        if tok not in system.ctx:
-            ts.fail(f"unknown generator {tok!r}")
-        return system.ctx.var(tok)
-    ts.fail(f"unexpected token {tok!r}")
+    text, lineno = heads["expr"]
+    return _as_series(_parse_all(_expr_sum, text, lineno, system.ctx, system), system)
 
 
 def format_cdf(s: cdf.CdfSeries) -> str:
@@ -573,21 +523,21 @@ def parse_spec(text):
     stripped = "\n".join(
         raw.split("#", 1)[0] for raw in text.splitlines()
     )
-    ts = _Tokens(tokenize(stripped), None)
+    return _parse_all(_spec_file, stripped, None)
+
+
+def _spec_file(ts):
     sorts = 1
     if ts.peek() == "sorts":
         ts.next()
-        tok = ts.next()
-        if not tok.isdigit() or int(tok) < 1:
-            ts.fail(f"bad sort count {tok!r}")
-        sorts = int(tok)
+        sorts = _integer(ts, "sort count")
+        if sorts < 1:
+            ts.fail(f"bad sort count {sorts}")
     ts.expect("species")
     name = ts.next()
     ts.expect("{")
     expr = _species_sum(ts)
     ts.expect("}")
-    if not ts.done():
-        ts.fail(f"trailing input {ts.peek()!r}")
     return name, expr, sorts
 
 
@@ -627,21 +577,9 @@ def _species_primary(ts):
         ts.expect("(")
         child = _species_sum(ts)
         ts.expect(";")
-        ctext = []
-        depth = 0
-        while True:
-            nxt = ts.peek()
-            if nxt is None:
-                ts.fail("unterminated restrict(...)")
-            if nxt == "(":
-                depth += 1
-            elif nxt == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            ctext.append(ts.next())
+        constraint = _constraint_or(ts)
         ts.expect(")")
-        return species.Restrict(child, parse_constraint(" ".join(ctext)))
+        return species.Restrict(child, constraint)
     if tok == "compose":
         ts.expect("(")
         outer = _species_sum(ts)
@@ -649,7 +587,7 @@ def _species_primary(ts):
         slots, subs = [], []
         while True:
             nm = ts.next()
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", nm) or nm in _KEYWORDS:
+            if not _IDENT.fullmatch(nm) or nm in _KEYWORDS:
                 ts.fail(f"bad slot name {nm!r}")
             ts.expect("<-")
             slots.append(nm)
@@ -665,7 +603,7 @@ def _species_primary(ts):
         bindings = []
         while True:
             nm = ts.next()
-            if nm in _KEYWORDS or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", nm):
+            if nm in _KEYWORDS or not _IDENT.fullmatch(nm):
                 ts.fail(f"bad binder name {nm!r}")
             if _ATOM_NAME.fullmatch(nm):
                 ts.fail(f"binder {nm!r} shadows an atom name")
@@ -684,7 +622,7 @@ def _species_primary(ts):
     m = _ATOM_NAME.fullmatch(tok)
     if m:
         return species.Atom(int(m.group(1)))
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tok not in _KEYWORDS:
+    if _IDENT.fullmatch(tok) and tok not in _KEYWORDS:
         return species.Ref(tok)
     ts.fail(f"unexpected token {tok!r}")
 

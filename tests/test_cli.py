@@ -226,6 +226,32 @@ def test_huge_products_are_parse_errors(tmp_path):
         assert "degree cap" in err
 
 
+WBPP_HEAD = "alphabet a\nnonterminals S\nstart S\n"
+CDF_HEAD = "vars x1\ngens s\ninit s = 1\nd/dx1 s = s\n"
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("letter.spec", "species Bell {\n  restrict(SET(X1); z1 == x)\n}\n"),
+        ("letter.cdf", CDF_HEAD + "expr = restrict(s; z1 >= q)\n"),
+        ("power.wbpp", WBPP_HEAD + "delta a S = 2^65 * S\n"),
+        ("output.wbpp", WBPP_HEAD + "output S = 1 + S\n"),
+        ("init.cdf", "vars x1\ngens s\ninit s = 2*s + 1/2\nexpr = s\n"),
+        ("alphabet.wbpp", "alphabet a a\nnonterminals S\nstart S\n"),
+        ("delta.wbpp", WBPP_HEAD + "delta a S = S\ndelta a S = 1\n"),
+        ("gens.cdf", "vars x1\ngens s s\nexpr = s\n"),
+        ("nested.cdf", CDF_HEAD + "expr = " + "(" * 400 + "s" + ")" * 400 + "\n"),
+    ],
+)
+def test_malformed_models_exit_2(tmp_path, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    code, out, err = run("coeffs", str(bad), "--max", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_missing_file_exit_code():
     code, _, err = run("zero", "/no/such/file.cdf")
     assert code == 2

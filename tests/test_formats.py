@@ -1,15 +1,23 @@
+import glob
+import os
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeroness import cdf as C
 from zeroness import constraints as K
 from zeroness import formats as F
 from zeroness import species as S
 from zeroness import wbpp as W
-from zeroness.errors import ParseError
+from zeroness.cli import _PRECONDITION_ERRORS
+from zeroness.errors import ParseError, ResourceLimitExceeded
 from zeroness.poly import Context
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
 
 @pytest.fixture
@@ -37,6 +45,9 @@ def test_parse_poly_rejects_implicit_multiplication(ctx):
 def test_parse_poly_rejects_unknowns(ctx):
     with pytest.raises(ParseError):
         F.parse_poly("z + 1", ctx)
+    # restrict is a keyword of .cdf expressions only
+    with pytest.raises(ParseError, match="unknown variable 'restrict'"):
+        F.parse_poly("restrict(x; z1 == 0)", ctx)
 
 
 def test_parse_rejects_powers_beyond_the_degree_cap(ctx):
@@ -48,8 +59,17 @@ def test_parse_rejects_powers_beyond_the_degree_cap(ctx):
         F.parse_cdf("vars x1\ngens s\ninit s = 0\nd/dx1 s = (s+1)^3000\nexpr = s\n")
     with pytest.raises(ParseError, match="degree cap"):
         F.parse_cdf("vars x1\ngens s\ninit s = 0\nd/dx1 s = 1\nexpr = (s+1)^3000\n")
+    # a constant power is capped at its exponent, as its cost grows with it
+    with pytest.raises(ParseError, match="degree cap"):
+        F.parse_poly("2^65", ctx)
+    with pytest.raises(ParseError, match="degree cap"):
+        F.parse_wbpp("alphabet a\nnonterminals S\nstart S\noutput S = 2^10000000\n")
+    # a series power is that many closure products
+    with pytest.raises(ParseError, match="degree cap"):
+        F.parse_cdf("vars x1\ngens s\ninit s = 0\nd/dx1 s = 1\nexpr = restrict(s; true)^65\n")
     assert time.perf_counter() - start < 1
     assert F.parse_poly("(x+1)^64", ctx).degree == 64
+    assert F.parse_poly("2^64", ctx) == ctx.const(2**64)
 
 
 # Degree 1024 built from pieces each within the cap: a power of a power,
@@ -94,6 +114,14 @@ def test_parse_constraint():
     assert K.contains(c3, (0,)) and K.contains(c3, (1,)) and not K.contains(c3, (2,))
 
 
+@pytest.mark.parametrize(
+    "text", ["z1 >= q", "z1 == -1", "z1 % m == 0", "z1 % 2 == r", "z1 <= (1)"]
+)
+def test_parse_constraint_rejects_non_numbers(text):
+    with pytest.raises(ParseError, match="must be a number"):
+        F.parse_constraint(text)
+
+
 def test_wbpp_round_trip_and_warnings():
     text = """# running example
 alphabet a b
@@ -113,6 +141,49 @@ delta b X = 1
     assert F.format_wbpp(again) == printed
     # printing is explicit, so no warnings the second time
     assert not any("output" in w for w in warnings2)
+
+
+def test_wbpp_output_must_be_constant():
+    with pytest.raises(ParseError, match="line 4: expected a constant"):
+        F.parse_wbpp("alphabet a\nnonterminals S\nstart S\noutput S = 1 + S\n")
+    model, _ = F.parse_wbpp("alphabet a\nnonterminals S\nstart S\noutput S = 2 * 3/4 - 1\n")
+    assert model.output("S") == Fraction(1, 2)
+
+
+def test_cdf_init_must_be_constant():
+    with pytest.raises(ParseError, match="line 3: expected a constant"):
+        F.parse_cdf("vars x1\ngens s\ninit s = 2*s + 1/2\nd/dx1 s = 1\nexpr = s\n")
+    with pytest.raises(ParseError, match="line 3: expected a constant"):
+        F.parse_cdf("vars x1\ngens s\ninit s = x1\nd/dx1 s = 1\nexpr = s\n")
+
+
+WBPP_HEAD = "alphabet a\nnonterminals S\nstart S\n"
+CDF_HEAD = "vars x1\ngens s\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (F.parse_wbpp, "alphabet a a\nnonterminals S\nstart S\n", 1),
+        (F.parse_wbpp, "alphabet a\nnonterminals S T S\nstart S\n", 2),
+        (F.parse_wbpp, WBPP_HEAD + "alphabet b\n", 4),
+        (F.parse_wbpp, WBPP_HEAD + "start S\n", 4),
+        (F.parse_wbpp, WBPP_HEAD + "output S = 1\noutput S = 2\n", 5),
+        (F.parse_wbpp, WBPP_HEAD + "delta a S = S\n# comment\ndelta a S = 1\n", 6),
+        (F.parse_bpp, "start X\nrule X = a.end\nstart X\n", 3),
+        (F.parse_cdf, "vars x1 x1\ngens s\nexpr = s\n", 1),
+        (F.parse_cdf, "vars x1\ngens s t s\nexpr = s\n", 2),
+        (F.parse_cdf, "vars x1\ngens s x1\nexpr = s\n", 2),
+        (F.parse_cdf, CDF_HEAD + "vars x2\nexpr = s\n", 3),
+        (F.parse_cdf, CDF_HEAD + "init s = 1\ninit s = 0\nexpr = s\n", 4),
+        (F.parse_cdf, CDF_HEAD + "init t = 1\nexpr = s\n", 3),
+        (F.parse_cdf, CDF_HEAD + "d/dx1 s = 1\nd/dx1 s = s\nexpr = s\n", 4),
+        (F.parse_cdf, CDF_HEAD + "expr = s\nexpr = 2*s\n", 4),
+    ],
+)
+def test_duplicate_declarations_are_errors(parse, text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: "):
+        parse(text)
 
 
 def test_wbpp_parse_errors():
@@ -264,3 +335,53 @@ def test_bpp_load_model_gives_process(tmp_path):
     kind, model, _ = F.load_model(str(p))
     assert kind == "wbpp"
     assert W.evaluate(model, model.start, "a") == 2
+
+
+# Whitespace runs, words and operators: joining the pieces gives the text back.
+_PIECES = re.compile(r"\s+|\w+|<-|==|&&|\|\||>=|<=|\S")
+# Directives, keywords, operators and names of the four grammars.
+_FUZZ_TOKENS = (
+    "alphabet nonterminals start output delta rule end vars gens init d/dx1 expr "
+    "sorts species SET CYC SEQ restrict compose fix in true "
+    "0 1 2 65 z1 z2 X1 X2 S X a b s c e x1 q "
+    "+ - * ^ / ( ) { } ; = , ! % <- == && || >= <= | ."
+).split() + [" ", "\n"]
+_BOWS_OUT = (ParseError, ResourceLimitExceeded) + _PRECONDITION_ERRORS
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("ext", [".wbpp", ".bpp", ".cdf", ".spec"])
+@given(
+    pick=st.integers(0, 2**16),
+    edits=st.lists(
+        st.tuples(st.sampled_from("ids"), st.integers(0, 2**16), st.sampled_from(_FUZZ_TOKENS)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_mutated_models_parse_or_bow_out(fuzz_dir, ext, pick, edits):
+    # Insert, delete or substitute tokens in a bundled model: loading it
+    # gives a model or one of the errors the CLI maps to exit 2, 3 or 4.
+    models = sorted(glob.glob(os.path.join(MODELS, "*" + ext)))
+    with open(models[pick % len(models)], encoding="utf-8") as fh:
+        pieces = _PIECES.findall(fh.read())
+    for kind, at, tok in edits:
+        at %= len(pieces) + 1
+        if kind == "i":
+            pieces.insert(at, tok)
+        elif at < len(pieces):
+            if kind == "d":
+                del pieces[at]
+            else:
+                pieces[at] = tok
+    path = fuzz_dir / f"mutated{ext}"
+    path.write_text("".join(pieces), encoding="utf-8")
+    try:
+        F.load_model(str(path))
+    except _BOWS_OUT:
+        pass
