@@ -5,7 +5,8 @@ A process model (letters, nonterminals, output weights) and a CDF system
 derivation of their ring per letter or axis (the ops), and a point.
 ``Wbpp`` and ``CdfSystem`` are views on a :class:`System`; union, adjoin,
 inverse, prune, fresh names, the packed fold of a word of ops and the
-decision are written here once.
+decision are written here once.  The species compiler grows its system
+with the same :func:`adjoin` and :func:`union`.
 
 Polynomials move between contexts by variable id (kept, shifted, or
 renumbered increasingly), never by name.  That keeps the generators'
@@ -58,14 +59,15 @@ def fresh(stem: str, taken) -> str:
 
 def union(first: System, second: System, suffixes=("_1", "_2")):
     """Disjoint union of two systems with as many ops; ``first``'s
-    generators come first, renamed with the suffixes.  Returns the union
-    and, per part, the function moving its polynomials into it."""
+    generators come first, renamed with the suffixes, and each name of
+    ``second`` passes through :func:`fresh`.  Returns the union and, per
+    part, the function moving its polynomials into it."""
     if len(first.ops) != len(second.ops):
         raise ArityMismatch("systems over different base dimensions")
     s1, s2 = suffixes
-    ctx = Context(
-        [n + s1 for n in first.ctx.names] + [n + s2 for n in second.ctx.names]
-    )
+    ctx = Context([n + s1 for n in first.ctx.names])
+    for n in second.ctx.names:
+        ctx.add(fresh(n + s2, ctx))
     n = len(first.ctx)
     shift = range(n, n + len(second.ctx))
     ops = []

@@ -11,7 +11,8 @@ program), zeroness runs the same ideal-chain saturation as the process
 engine with the Lie derivatives as the derivation family, and the closure
 constructions (arithmetic, inverse, strong composition, regular support
 restriction, implicit solving) each extend the system with fresh
-generators wired by the chain rule.
+generators.  Strong composition and implicit solving substitute series
+for axes through one chain rule, :func:`_chain_rule`.
 
 A system is a view on the derivation system of ``_system``, read with
 axes for its ops (the Lie derivatives) and exponent vectors for witnesses.
@@ -337,6 +338,28 @@ def c_inverse(s: CdfSeries) -> CdfSeries:
 # Strong composition -------------------------------------------------------------
 
 
+def _chain_rule(core: System, d: int, rates, move):
+    """The images of ``core``'s generators along the leading ``d`` axes
+    once series are substituted for the trailing ones: along axis j,
+    generator h goes to op_j(h) + sum_i rates[j][i] * op_{d+i}(h), where
+    ``rates[j][i]`` is the derivative of substituted series i along axis
+    j.  Every image is moved by ``move`` into a context where the old
+    generators keep their ids; one dict of images per leading axis."""
+    out = []
+    for j in range(d):
+        images = {}
+        for h in range(len(core.ctx)):
+            total = move(core.ops[j].image(h))
+            for i, rate in enumerate(rates[j]):
+                b = core.ops[d + i].image(h)
+                if not b.is_zero():
+                    total = total + rate * move(b)
+            if not total.is_zero():
+                images[h] = total
+        out.append(images)
+    return out
+
+
 def compose_strong(f: CdfSeries, gs) -> CdfSeries:
     """Substitute the trailing axes of ``f`` (the last len(gs) base
     variables) by the series ``gs`` over the shared leading base.
@@ -357,15 +380,10 @@ def compose_strong(f: CdfSeries, gs) -> CdfSeries:
             raise ArityMismatch("inner series over the wrong base dimension")
 
     inner_sys, inner_exprs = _shared(gs)
-    kernel = fsys.kernel
-
     for i in range(1, k + 1):
         if inner_exprs[i - 1].eval(inner_sys.init) != 0:
             column = d + i
-            depends = any(
-                not kernel[h][column - 1].is_zero() for h in range(fsys.order)
-            )
-            if depends:
+            if any(not p.is_zero() for p in fsys.lie(column).images.values()):
                 raise NotComposable(
                     f"substituted axis {column} occurs in the outer system but the "
                     f"inner series {i} has nonzero constant term"
@@ -375,19 +393,10 @@ def compose_strong(f: CdfSeries, gs) -> CdfSeries:
     head = System(fsys.ctx, fsys.core.ops[:d], fsys.init)
     merged, emb_outer, emb_inner = _system.union(head, inner_sys.core, ("_o", "_i"))
     # d/dx_j (inner expression i), moved into the merged generators.
-    inner_lies = [[emb_inner(op(q)) for op in inner_sys.core.ops] for q in inner_exprs]
-    images = []
-    for j, op in enumerate(merged.ops):
-        column = dict(op.images)
-        for h in range(fsys.order):
-            # Chain rule: the x_j-column plus every substituted column
-            # weighted by the derivative of its inner series.
-            for i in range(k):
-                b = kernel[h][d + i]
-                if not b.is_zero():
-                    total = column.get(h, merged.ctx.zero())
-                    column[h] = total + inner_lies[i][j] * emb_outer(b)
-        images.append(column)
+    rates = [[emb_inner(op(q)) for q in inner_exprs] for op in inner_sys.core.ops]
+    images = _chain_rule(fsys.core, d, rates, emb_outer)
+    for column, op in zip(images, merged.ops):  # the inner generators keep theirs
+        column.update((v, p) for v, p in op.images.items() if v >= fsys.order)
 
     core = System(merged.ctx, [Derivation(merged.ctx, im) for im in images], merged.point)
     return CdfSeries(CdfSystem.of(fsys.base_names[:d], core), emb_outer(f.expr))
@@ -480,28 +489,6 @@ def _rat_matrix_nilpotent(mat) -> bool:
     return all(v == 0 for row in power for v in row)
 
 
-def _rat_det(mat) -> Fraction:
-    k = len(mat)
-    if k == 0:
-        return Fraction(1)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, k):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def _poly_det(mat, ctx) -> Poly:
     k = len(mat)
     if k == 0:
@@ -585,9 +572,8 @@ def implicit_solve(series_list, names=None):
     target = Context(sys.ctx.names)
     for nm in names:
         target.add(fresh(nm, target))
-    dname = target.name_of(target.add(fresh("detinv", target)))
+    delta = target.var_by_id(target.add(fresh("detinv", target)))
     ynames = target.names[sys.order : -1]
-    delta = target.var(dname)
 
     def emb(p):
         return transport(p, target)
@@ -614,50 +600,27 @@ def implicit_solve(series_list, names=None):
             column.append(delta * acc)
         dy.append(column)
 
-    kernel = sys.kernel
-    new_kernel = {}
-    for gi, g in enumerate(sys.ctx.names):
-        for j in range(1, d + 1):
-            total = emb(kernel[gi][j - 1])
-            for i in range(k):
-                b = kernel[gi][d + i]
-                if not b.is_zero():
-                    total = total + dy[j - 1][i] * emb(b)
-            if not total.is_zero():
-                new_kernel[(g, j)] = total
-    for i, nm in enumerate(ynames):
-        for j in range(1, d + 1):
-            if not dy[j - 1][i].is_zero():
-                new_kernel[(nm, j)] = dy[j - 1][i]
-
-    # d/dx_j delta = delta^2 * trace(adj(I-J) * d/dx_j J) where each entry
-    # of J is differentiated by the same chain rule.
-    for j in range(1, d + 1):
+    ops = []
+    for images, rates in zip(_chain_rule(sys.core, d, dy, emb), dy):
+        for i, rate in enumerate(rates):
+            if not rate.is_zero():
+                images[sys.order + i] = rate
+        # d/dx_j delta = delta^2 * trace(adj(I-J) * d/dx_j J), each entry of
+        # J differentiated by the chain rule above.
+        op = Derivation(target, images)
         trace = target.zero()
         for a in range(k):
             for b in range(k):
-                q = jac_polys[b][a]  # J[b][a]
-                if q.is_zero():
-                    continue
-                dq = emb(sys.lie(j)(q))
-                for h in range(k):
-                    qh = sys.lie(d + h + 1)(q)
-                    if not qh.is_zero():
-                        dq = dq + dy[j - 1][h] * emb(qh)
-                if not dq.is_zero():
-                    trace = trace + adj[a][b] * dq
+                if not jac_polys[b][a].is_zero():
+                    trace = trace + adj[a][b] * op(emb(jac_polys[b][a]))
         if not trace.is_zero():
-            new_kernel[(dname, j)] = delta * delta * trace
+            images[sys.order + k] = delta * delta * trace
+        ops.append(Derivation(target, images))
 
-    jac0 = [[jac_polys[i][j].eval(sys.init) for j in range(k)] for i in range(k)]
-    det0 = _rat_det(
-        [
-            [(1 if i == j else 0) - jac0[i][j] for j in range(k)]
-            for i in range(k)
-        ]
-    )
-    init = list(sys.init) + [Fraction(0)] * k + [Fraction(1) / det0]
-    solved = CdfSystem.of(sys.base_names[:d], _kernel_core(target, d, new_kernel, init))
+    # check_well_posed made J(0) nilpotent, so det(I - J(0)) = 1 and delta
+    # starts at 1.
+    init = list(sys.init) + [Fraction(0)] * k + [Fraction(1)]
+    solved = CdfSystem.of(sys.base_names[:d], System(target, ops, init))
     return tuple(CdfSeries(solved, solved.ctx.var(nm)) for nm in ynames)
 
 

@@ -142,24 +142,33 @@ class MonoidRecognizer:
     """A finite commutative monoid with a homomorphism from N^d and an
     accepting subset; recognizes the preimage of the accepting set.
 
-    Elements are indices 0..size-1.  The monoid laws are checked on
-    construction.
+    Elements are indices 0..size-1.  :func:`recognizer` checks the monoid
+    laws on the trimmed result (:meth:`check_laws`).
     """
 
-    __slots__ = ("size", "table", "identity", "images", "accepting", "labels")
+    __slots__ = ("size", "table", "identity", "images", "accepting")
 
-    def __init__(self, size, table, identity, images, accepting, labels=None):
+    def __init__(self, size, table, identity, images, accepting):
         self.size = size
         self.table = [list(row) for row in table]
         self.identity = identity
         self.images = tuple(images)
         self.accepting = frozenset(accepting)
-        self.labels = tuple(labels) if labels else tuple(str(i) for i in range(size))
-        self._check_laws()
 
-    def _check_laws(self):
+    def check_laws(self):
+        """Raise :class:`ConstraintError` unless the table is a commutative
+        monoid with the axis images inside it.
+
+        Associativity is Light's test: (a*g)*c = a*(g*c) for every a, c and
+        every g of a generating set, here the distinct axis images and each
+        element not reachable from the identity through them.  The elements
+        g passing the test are closed under the product, and the identity
+        passes, so they are the whole monoid."""
         n = self.size
         t = self.table
+        for m in self.images:
+            if not 0 <= m < n:
+                raise ConstraintError("axis image outside the monoid")
         for a in range(n):
             if t[self.identity][a] != a or t[a][self.identity] != a:
                 raise ConstraintError("identity law fails")
@@ -167,14 +176,14 @@ class MonoidRecognizer:
             for b in range(n):
                 if t[a][b] != t[b][a]:
                     raise ConstraintError("commutativity fails")
-        for a in range(n):
-            for b in range(n):
+        generators = set(self.images)
+        generators |= set(range(n)) - _reachable(t, self.identity, generators)
+        for g in generators:
+            for a in range(n):
+                ag, row = t[a][g], t[a]
                 for c in range(n):
-                    if t[t[a][b]][c] != t[a][t[b][c]]:
+                    if t[ag][c] != row[t[g][c]]:
                         raise ConstraintError("associativity fails")
-        for m in self.images:
-            if not 0 <= m < n:
-                raise ConstraintError("axis image outside the monoid")
 
     @property
     def dim(self):
@@ -183,19 +192,22 @@ class MonoidRecognizer:
     def add(self, a, b):
         return self.table[a][b]
 
-    def image_of(self, vector) -> int:
-        m = self.identity
-        for j, count in enumerate(vector):
-            step = self.images[j]
-            for _ in range(count):
-                m = self.table[m][step]
-        return m
-
-    def accepts(self, vector) -> bool:
-        return self.image_of(vector) in self.accepting
-
     def __repr__(self):
         return f"MonoidRecognizer(size={self.size}, accepting={sorted(self.accepting)})"
+
+
+def _reachable(table, start, steps):
+    """The elements ``start * s_1 * ... * s_r`` for steps s_i in ``steps``."""
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        a = frontier.pop()
+        for g in steps:
+            b = table[a][g]
+            if b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    return reached
 
 
 def _threshold_monoid(dim, axis, value):
@@ -210,17 +222,13 @@ def _threshold_monoid(dim, axis, value):
 
     table = [[add(a, b) for b in range(size)] for a in range(size)]
     images = [(1 if value >= 1 else inf) if j == axis - 1 else 0 for j in range(dim)]
-    labels = [str(i) for i in range(value + 1)] + ["inf"]
-    return MonoidRecognizer(size, table, 0, images, {value}, labels)
+    return MonoidRecognizer(size, table, 0, images, {value})
 
 
 def _cyclic_monoid(dim, axis, residue, modulus):
     table = [[(a + b) % modulus for b in range(modulus)] for a in range(modulus)]
     images = [1 % modulus if j == axis - 1 else 0 for j in range(dim)]
-    return MonoidRecognizer(
-        modulus, table, 0, images, {residue % modulus},
-        [f"{i} mod {modulus}" for i in range(modulus)],
-    )
+    return MonoidRecognizer(modulus, table, 0, images, {residue % modulus})
 
 
 def _product(m1: MonoidRecognizer, m2: MonoidRecognizer, union: bool):
@@ -243,9 +251,8 @@ def _product(m1: MonoidRecognizer, m2: MonoidRecognizer, union: bool):
             idx[(a, b)] for (a, b) in elems if a in m1.accepting and b in m2.accepting
         }
     images = [idx[(m1.images[j], m2.images[j])] for j in range(m1.dim)]
-    labels = [f"{m1.labels[a]}|{m2.labels[b]}" for (a, b) in elems]
     return MonoidRecognizer(
-        len(elems), table, idx[(m1.identity, m2.identity)], images, accepting, labels
+        len(elems), table, idx[(m1.identity, m2.identity)], images, accepting
     )
 
 
@@ -253,16 +260,7 @@ def _trim(m: MonoidRecognizer) -> MonoidRecognizer:
     """Restrict to the submonoid reachable from the axis images, then merge
     elements indistinguishable under every reachable translate (a monoid
     congruence, so the quotient still recognizes the same set)."""
-    reachable = {m.identity}
-    frontier = [m.identity]
-    while frontier:
-        a = frontier.pop()
-        for g in set(m.images):
-            b = m.table[a][g]
-            if b not in reachable:
-                reachable.add(b)
-                frontier.append(b)
-    order = sorted(reachable)
+    order = sorted(_reachable(m.table, m.identity, set(m.images)))
     # Partition refinement over the reachable submonoid: split until no
     # reachable translate distinguishes two elements of one block.
     fresh = {}
@@ -294,16 +292,15 @@ def _trim(m: MonoidRecognizer) -> MonoidRecognizer:
     ]
     images = [remap[block[m.images[j]]] for j in range(m.dim)]
     accepting = {remap[block[a]] for a in order if a in m.accepting}
-    labels = [m.labels[rep[i]] for i in range(size)]
-    return MonoidRecognizer(
-        size, table, remap[block[m.identity]], images, accepting, labels
-    )
+    return MonoidRecognizer(size, table, remap[block[m.identity]], images, accepting)
 
 
 def recognizer(expr, dim: int) -> MonoidRecognizer:
     """Compile a constraint of the given dimension to a trimmed recognizer."""
     validate(expr, dim)
-    return _trim(_build(expr, dim))
+    rec = _trim(_build(expr, dim))
+    rec.check_laws()
+    return rec
 
 
 def _build(expr, dim):
@@ -318,9 +315,8 @@ def _build(expr, dim):
     if isinstance(expr, Not):
         m = _build(expr.child, dim)
         return MonoidRecognizer(
-            m.size, m.table, m.identity, m.images,
-            set(range(m.size)) - m.accepting, m.labels,
+            m.size, m.table, m.identity, m.images, set(range(m.size)) - m.accepting
         )
     if isinstance(expr, TrueExpr):
-        return MonoidRecognizer(1, [[0]], 0, [0] * dim, {0}, ["e"])
+        return MonoidRecognizer(1, [[0]], 0, [0] * dim, {0})
     raise ConstraintError(f"not a constraint expression: {expr!r}")

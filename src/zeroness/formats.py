@@ -29,26 +29,35 @@ _TOKEN = re.compile(
 
 
 def tokenize(text, line=None):
+    """The tokens of ``text`` as ``(token, line)`` pairs, where ``text``
+    starts on line ``line`` (None: lines are not reported)."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             break
+        if line is not None:  # no token spans lines
+            line += text.count("\n", pos, m.start(m.lastgroup))
         pos = m.end()
         if m.lastgroup == "bad":
             raise ParseError(f"unexpected character {m.group('bad')!r}", line)
-        if m.lastgroup is None:
-            continue
-        tokens.append(m.group(m.lastgroup))
+        tokens.append((m.group(m.lastgroup), line))
     return tokens
 
 
 class _Tokens:
     def __init__(self, tokens, line=None):
-        self.tokens = tokens
+        self.tokens = [tok for tok, _ in tokens]
+        self.lines = [at for _, at in tokens]
         self.pos = 0
-        self.line = line
+        self.start = line
+
+    @property
+    def line(self):
+        """The line of the last token read: a parse error is reported
+        there."""
+        return self.lines[self.pos - 1] if self.pos else self.start
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -86,7 +95,7 @@ def _parse_all(rule, text, line, *args):
     except RecursionError:
         ts.fail("input nested too deeply")
     if not ts.done():
-        ts.fail(f"trailing input {ts.peek()!r}")
+        ts.fail(f"trailing input {ts.next()!r}")
     return value
 
 
@@ -523,7 +532,7 @@ def parse_spec(text):
     stripped = "\n".join(
         raw.split("#", 1)[0] for raw in text.splitlines()
     )
-    return _parse_all(_spec_file, stripped, None)
+    return _parse_all(_spec_file, stripped, 1)
 
 
 def _spec_file(ts):

@@ -1,10 +1,13 @@
 """Constructible species of structures and their generating series.
 
 A species expression is compiled to a CDF series by structural
-translation: atoms become axis trackers, SET/CYC/SEQ each add one or two
-generators wired by their defining differential equations, sums and
-products stay at the expression level, cardinality restrictions and
-well-posed fixpoint systems delegate to the series-level constructions.
+translation on one growing derivation system (``_system.System``): atoms
+become axis trackers and SET/CYC/SEQ each add one or two generators wired
+by their defining differential equations, every one by
+``_system.adjoin``; sums and products stay at the expression level;
+cardinality restrictions, strong composition and well-posed fixpoint
+systems delegate to the series-level constructions of ``cdf``, whose
+output joins the system by ``_system.union``.
 Counting labelled structures is then coefficient computation, and
 equipotence (equal counts at every size vector) is series equivalence.
 """
@@ -12,10 +15,9 @@ equipotence (equal counts at every size vector) is series equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import cdf
-from ._system import System, fresh, transport
+from . import _system, cdf
+from ._system import System, transport
 from .constraints import validate
 from .errors import ArityMismatch, NotWellPosed, SoundnessError
 from .poly import Context, Derivation, Poly
@@ -111,154 +113,123 @@ def sum_all(exprs):
 # Compilation ------------------------------------------------------------------
 
 
-class _Builder:
-    """One growing generator system per compilation scope; combinators add
-    generators and pass expressions around."""
+class _Scope:
+    """The system one compilation scope grows over ``dim`` sorts, and the
+    tracker generator of each sort used so far."""
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ArityMismatch("species need at least one sort")
         self.dim = dim
-        self.ctx = Context()
-        self.columns = []  # per generator: one Poly (or None) per axis
-        self.inits = []
+        ctx = Context()
+        self.system = System(ctx, [Derivation(ctx, {}) for _ in range(dim)], ())
         self.trackers = {}
 
-    def reserve(self, stem, init) -> int:
-        vid = self.ctx.add(fresh(stem, self.ctx))
-        self.columns.append([None] * self.dim)
-        self.inits.append(Fraction(init))
-        return vid
+    def lift(self, p: Poly) -> Poly:
+        """``p``, over an earlier context of this scope, in the current one."""
+        return transport(p, self.system.ctx)
 
-    def set_column(self, vid, axis, p: Poly):
-        self.columns[vid][axis - 1] = p
+    def adjoin(self, stem, value, images) -> Poly:
+        self.system, u = _system.adjoin(self.system, stem, value, images)
+        return u
 
     def tracker(self, j: int) -> Poly:
         if not 1 <= j <= self.dim:
             raise ArityMismatch(f"sort {j} out of range 1..{self.dim}")
         if j not in self.trackers:
-            vid = self.reserve(f"t{j}", 0)
-            self.set_column(vid, j, self.ctx.one())
-            self.trackers[j] = vid
-        return self.ctx.var_by_id(self.trackers[j])
+            # d/dx_i t_j is 1 along sort j and 0 along the others
+            self.trackers[j] = self.adjoin(
+                f"t{j}", 0, lambda _, u: [u.ctx.const(i == j) for i in range(1, self.dim + 1)]
+            )
+        return self.lift(self.trackers[j])
 
-    def derivation(self, j: int) -> Derivation:
-        """L_j over the generators reserved so far."""
-        images = {
-            v: self.columns[v][j - 1]
-            for v in range(len(self.columns))
-            if self.columns[v][j - 1] is not None
-        }
-        return Derivation(self.ctx, images)
-
-    def lie(self, j: int, p: Poly) -> Poly:
-        return self.derivation(j)(p)
-
-    def origin_value(self, p: Poly) -> Fraction:
-        return p.eval(self.inits)
-
-    def freeze(self, exprs):
-        """Snapshot into an immutable system; returns CdfSeries, one per
-        expression."""
-        ctx = Context(self.ctx.names)
-        ops = []
-        for j in range(1, self.dim + 1):
-            images = self.derivation(j).images
-            ops.append(Derivation(ctx, {v: transport(p, ctx) for v, p in images.items()}))
-        system = cdf.CdfSystem.of(
-            tuple(f"x{i}" for i in range(1, self.dim + 1)), System(ctx, ops, self.inits)
-        )
-        return [cdf.CdfSeries(system, transport(e, ctx)) for e in exprs]
+    def series(self, exprs):
+        """The current system as CDF series, one per expression."""
+        system = cdf.CdfSystem.of(tuple(f"x{i}" for i in range(1, self.dim + 1)), self.system)
+        return [cdf.CdfSeries(system, self.lift(e)) for e in exprs]
 
     def absorb(self, series: cdf.CdfSeries) -> Poly:
-        """Splice a standalone series into this scope: its generators are
-        appended in order (renamed when needed) and its expression is
-        returned."""
-        if series.dim != self.dim:
-            raise ArityMismatch("absorbed series over the wrong dimension")
-        core = series.system.core
-        ids = [self.reserve(g, value) for g, value in zip(core.ctx.names, core.point)]
-        for j, op in enumerate(core.ops, start=1):
-            for v, p in op.images.items():
-                self.set_column(ids[v], j, transport(p, self.ctx, ids))
-        return transport(series.expr, self.ctx, ids)
+        """Append the generators of a standalone series (renamed when
+        needed) and return its expression."""
+        self.system, _, lift = _system.union(self.system, series.system.core, ("", ""))
+        return lift(series.expr)
 
 
-def _compile_into(e, b: _Builder, env) -> Poly:
+def _compile_into(e, scope: _Scope, env) -> Poly:
+    """The expression of ``e``, over the current context of ``scope``."""
     if isinstance(e, Zero):
-        return b.ctx.zero()
+        return scope.system.ctx.zero()
     if isinstance(e, One):
-        return b.ctx.one()
+        return scope.system.ctx.one()
     if isinstance(e, Atom):
-        return b.tracker(e.sort)
+        return scope.tracker(e.sort)
     if isinstance(e, Ref):
         if e.name not in env:
             raise ArityMismatch(f"unbound species reference {e.name!r}")
-        return b.tracker(env[e.name])
+        return scope.tracker(env[e.name])
     if isinstance(e, Sum):
-        return _compile_into(e.left, b, env) + _compile_into(e.right, b, env)
+        left = _compile_into(e.left, scope, env)
+        right = _compile_into(e.right, scope, env)
+        return scope.lift(left) + right
     if isinstance(e, Prod):
-        return _compile_into(e.left, b, env) * _compile_into(e.right, b, env)
+        left = _compile_into(e.left, scope, env)
+        right = _compile_into(e.right, scope, env)
+        return scope.lift(left) * right
     if isinstance(e, (Set, Cyc, Seq)):
-        arg = _compile_into(e.child, b, env)
-        if b.origin_value(arg) != 0:
+        arg = _compile_into(e.child, scope, env)
+        if arg.eval(scope.system.point) != 0:
             kind = type(e).__name__.upper()
             raise NotWellPosed(
                 f"{kind} argument admits a size-0 structure; restrict it "
                 f"to size >= 1 first"
             )
+        rates = [op(arg) for op in scope.system.ops]
         if isinstance(e, Set):
-            vid = b.reserve("set", 1)
-            svar = b.ctx.var_by_id(vid)
-            for j in range(1, b.dim + 1):
-                b.set_column(vid, j, b.lie(j, arg) * svar)
-            return svar
-        rid = b.reserve("seq", 1)
-        rvar = b.ctx.var_by_id(rid)
-        for j in range(1, b.dim + 1):
-            b.set_column(rid, j, b.lie(j, arg) * rvar * rvar)
+            return scope.adjoin("set", 1, lambda lift, u: [lift(q) * u for q in rates])
+        r = scope.adjoin("seq", 1, lambda lift, u: [lift(q) * u * u for q in rates])
         if isinstance(e, Seq):
-            return rvar
-        cid = b.reserve("cyc", 0)
-        for j in range(1, b.dim + 1):
-            b.set_column(cid, j, b.lie(j, arg) * rvar)
-        return b.ctx.var_by_id(cid)
+            return r
+        return scope.adjoin("cyc", 0, lambda lift, u: [lift(q) * lift(r) for q in rates])
     if isinstance(e, Restrict):
-        validate(e.constraint, b.dim)
-        inner = b.freeze([_compile_into(e.child, b, env)])[0]
-        restricted = cdf.restrict_regular(inner, e.constraint)
-        return b.absorb(restricted)
+        validate(e.constraint, scope.dim)
+        (inner,) = scope.series([_compile_into(e.child, scope, env)])
+        return scope.absorb(cdf.restrict_regular(inner, e.constraint))
     if isinstance(e, StrongCompose):
         k = len(e.subs)
         if len(e.slots) != k:
             raise ArityMismatch("slot names and substitutions differ in number")
-        subs = [compile_species(s, b.dim, env) for s in e.subs]
+        subs = [compile_species(s, scope.dim, env) for s in e.subs]
         outer_env = dict(env)
         for i, nm in enumerate(e.slots, start=1):
-            outer_env[nm] = b.dim + i
-        outer = compile_species(e.outer, b.dim + k, outer_env)
-        return b.absorb(cdf.compose_strong(outer, subs))
+            outer_env[nm] = scope.dim + i
+        outer = compile_species(e.outer, scope.dim + k, outer_env)
+        return scope.absorb(cdf.compose_strong(outer, subs))
     if isinstance(e, Fix):
-        k = len(e.bindings)
         names = [nm for nm, _ in e.bindings]
         if e.select not in names:
             raise ArityMismatch(f"selected binder {e.select!r} is not bound")
-        inner = _Builder(b.dim + k)
-        inner_env = dict(env)
-        for i, nm in enumerate(names, start=1):
-            inner_env[nm] = b.dim + i
-        bodies = [_compile_into(body, inner, inner_env) for _, body in e.bindings]
-        fs = inner.freeze(bodies)
+        inner, bodies = _fix_bodies(e, scope.dim, env)
+        fs = inner.series(bodies)
         solved = cdf.implicit_solve([cdf.prune(f) for f in fs], names=names)
-        return b.absorb(cdf.prune(solved[names.index(e.select)]))
+        return scope.absorb(cdf.prune(solved[names.index(e.select)]))
     raise ArityMismatch(f"not a species expression: {e!r}")
+
+
+def _fix_bodies(fix: Fix, dim: int, env):
+    """A scope over ``dim`` sorts plus one per binder, and the block's
+    bodies compiled into it."""
+    inner = _Scope(dim + len(fix.bindings))
+    inner_env = dict(env)
+    for i, (nm, _) in enumerate(fix.bindings, start=1):
+        inner_env[nm] = dim + i
+    return inner, [_compile_into(body, inner, inner_env) for _, body in fix.bindings]
 
 
 def compile_species(e, dim: int, _env=None) -> cdf.CdfSeries:
     """Compile a species expression over ``dim`` sorts to a CDF series."""
-    b = _Builder(dim)
-    expr = _compile_into(e, b, _env or {})
-    return cdf.prune(b.freeze([expr])[0])
+    scope = _Scope(dim)
+    expr = _compile_into(e, scope, _env or {})
+    return cdf.prune(scope.series([expr])[0])
 
 
 def well_posed(fix: Fix, dim: int):
@@ -266,14 +237,11 @@ def well_posed(fix: Fix, dim: int):
 
     Returns (ok, diagnostics); diagnostics name the violated condition.
     """
-    k = len(fix.bindings)
-    inner = _Builder(dim + k)
-    env = {nm: dim + i for i, (nm, _) in enumerate(fix.bindings, start=1)}
     try:
-        bodies = [_compile_into(body, inner, env) for _, body in fix.bindings]
+        inner, bodies = _fix_bodies(fix, dim, {})
     except NotWellPosed as exc:
         return False, [str(exc)]
-    return cdf.check_well_posed(inner.freeze(bodies))
+    return cdf.check_well_posed(inner.series(bodies))
 
 
 # Counting and equipotence -------------------------------------------------------

@@ -8,7 +8,7 @@ from zeroness import cdf as C
 from zeroness import constraints as K
 from zeroness import wbpp as W
 from zeroness._saturation import Outcome
-from zeroness.errors import ArityMismatch, NotComposable, NotWellPosed
+from zeroness.errors import ArityMismatch, ConstraintError, NotComposable, NotWellPosed
 from zeroness.groebner import GroebnerLimits
 from zeroness.poly import Context
 from zeroness.series import TruncSeries
@@ -202,6 +202,26 @@ def test_restrict_true_is_identity():
     s = sin_series()
     r = C.restrict_regular(s, K.TRUE)
     assert C.coeff_table(r, 6) == C.coeff_table(s, 6)
+
+
+def test_check_laws_rejects_a_non_associative_table(monkeypatch):
+    # commutative with identity 0, but (1*1)*2 = 2 while 1*(1*2) = 1
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, 2]]
+    # every element reached from the axis image, or none but the identity
+    for images in ([1], [0]):
+        with pytest.raises(ConstraintError, match="associativity fails"):
+            K.MonoidRecognizer(3, table, 0, images, {0}).check_laws()
+    cyclic = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    K.MonoidRecognizer(3, cyclic, 0, [1], {0}).check_laws()
+    # recognizer() checks what it returns
+    monkeypatch.setattr(K, "_build", lambda expr, dim: K.MonoidRecognizer(3, table, 0, [1], {0}))
+    with pytest.raises(ConstraintError, match="associativity fails"):
+        K.recognizer(K.TRUE, 1)
+
+
+def test_recognizer_of_a_large_modulus():
+    rec = K.recognizer(K.ModEq(1, 0, 400), 1)
+    assert (rec.size, rec.images, rec.accepting) == (400, (1,), {0})
 
 
 def test_restrict_exp_to_single_degree():

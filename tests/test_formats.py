@@ -294,6 +294,25 @@ def test_spec_parse_errors():
         F.parse_spec("sorts 0\nspecies B { X1 }")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "sorts 1\nspecies Bell {\n  restrict(SET(X1); z1 == x)\n}\n",
+            "line 3: bound must be a number, got 'x'",
+        ),
+        ("species S {\n  SET(X1) $\n}\n", "line 2: unexpected character '$'"),
+        ("species S {\n  X1\n\n", "line 2: unexpected end of input"),
+        ("# comment\nspecies S { X1 }\n\n}\n", "line 4: trailing input '}'"),
+    ],
+    ids=["bound", "character", "end", "trailing"],
+)
+def test_spec_parse_errors_name_the_line(text, message):
+    with pytest.raises(ParseError) as exc:
+        F.parse_spec(text)
+    assert str(exc.value) == message
+
+
 def test_load_model_dispatch(tmp_path):
     p = tmp_path / "m.wbpp"
     p.write_text("alphabet a\nnonterminals S\nstart S\noutput S = 1\n")
