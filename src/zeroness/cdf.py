@@ -31,7 +31,7 @@ from .errors import (
     NotComposable,
     NotWellPosed,
 )
-from .poly import Context, Derivation, Monomial, Poly
+from .poly import _GRLEX, Context, Derivation, Poly, _packing
 from .series import TruncSeries, _exponents_of_degree
 
 
@@ -408,28 +408,30 @@ def compose_strong(f: CdfSeries, gs) -> CdfSeries:
 def _restriction_of_poly(p: Poly, rec: MonoidRecognizer, target: Context, gname):
     """Push a restriction through a polynomial: a map from monoid element
     m to the m-part, where variables split into indexed copies, constants
-    sit at the identity, and products convolve over the monoid."""
+    sit at the identity, and products convolve over the monoid.  The
+    parts convolve packed monomials; a copy's exponent is at most its
+    variable's, so none grows past the input's."""
+    packing = _packing(_GRLEX, len(target))
     out = {}
     for mono, c in p.terms.items():
-        parts = {rec.identity: {Monomial(()): c}}
+        parts = {rec.identity: {0: c}}
         for v, e in mono.exps:
-            copies = [
-                Monomial(((target.id_of(gname(v, m_f)), 1),)) for m_f in range(rec.size)
-            ]
+            copies = [packing.var(target.id_of(gname(v, m_f))) for m_f in range(rec.size)]
             for _ in range(e):
                 nxt = {}
                 for m_acc, acc in parts.items():
                     for m_f, x in enumerate(copies):
                         bucket = nxt.setdefault(rec.add(m_acc, m_f), {})
                         for k, a in acc.items():
-                            key = k * x
+                            key = k + x
                             bucket[key] = bucket.get(key, 0) + a
                 parts = nxt
         for m, acc in parts.items():
             bucket = out.setdefault(m, {})
             for k, a in acc.items():
                 bucket[k] = bucket.get(k, 0) + a
-    pieces = {m: Poly(target, terms) for m, terms in out.items()}
+    unpack = packing.unpack
+    pieces = {m: Poly(target, {unpack(k): a for k, a in t.items()}) for m, t in out.items()}
     return {m: q for m, q in pieces.items() if not q.is_zero()}
 
 

@@ -177,7 +177,7 @@ class MonoidRecognizer:
                 if t[a][b] != t[b][a]:
                     raise ConstraintError("commutativity fails")
         generators = set(self.images)
-        generators |= set(range(n)) - _reachable(t, self.identity, generators)
+        generators |= set(range(n)) - _reachable(self.identity, generators, self.add)
         for g in generators:
             for a in range(n):
                 ag, row = t[a][g], t[a]
@@ -196,14 +196,15 @@ class MonoidRecognizer:
         return f"MonoidRecognizer(size={self.size}, accepting={sorted(self.accepting)})"
 
 
-def _reachable(table, start, steps):
-    """The elements ``start * s_1 * ... * s_r`` for steps s_i in ``steps``."""
+def _reachable(start, steps, mul):
+    """The elements ``start * s_1 * ... * s_r`` for steps s_i in ``steps``,
+    multiplied by ``mul``."""
     reached = {start}
     frontier = [start]
     while frontier:
         a = frontier.pop()
         for g in steps:
-            b = table[a][g]
+            b = mul(a, g)
             if b not in reached:
                 reached.add(b)
                 frontier.append(b)
@@ -232,16 +233,19 @@ def _cyclic_monoid(dim, axis, residue, modulus):
 
 
 def _product(m1: MonoidRecognizer, m2: MonoidRecognizer, union: bool):
-    idx = {}
-    elems = []
-    for a in range(m1.size):
-        for b in range(m2.size):
-            idx[(a, b)] = len(elems)
-            elems.append((a, b))
-    table = [
-        [idx[(m1.table[a1][b1], m2.table[a2][b2])] for (b1, b2) in elems]
-        for (a1, a2) in elems
-    ]
+    """The product monoid over the pairs reachable from the identity
+    through the axis images.  They form a submonoid, the only part
+    :func:`_trim` keeps, so the rest is never built; the pairs keep their
+    order in the full product, so the trimmed result is the same."""
+    t1, t2 = m1.table, m2.table
+
+    def mul(a, b):
+        return t1[a[0]][b[0]], t2[a[1]][b[1]]
+
+    steps = set(zip(m1.images, m2.images))
+    elems = sorted(_reachable((m1.identity, m2.identity), steps, mul))
+    idx = {e: i for i, e in enumerate(elems)}
+    table = [[idx[mul(a, b)] for b in elems] for a in elems]
     if union:
         accepting = {
             idx[(a, b)] for (a, b) in elems if a in m1.accepting or b in m2.accepting
@@ -260,7 +264,7 @@ def _trim(m: MonoidRecognizer) -> MonoidRecognizer:
     """Restrict to the submonoid reachable from the axis images, then merge
     elements indistinguishable under every reachable translate (a monoid
     congruence, so the quotient still recognizes the same set)."""
-    order = sorted(_reachable(m.table, m.identity, set(m.images)))
+    order = sorted(_reachable(m.identity, set(m.images), m.add))
     # Partition refinement over the reachable submonoid: split until no
     # reachable translate distinguishes two elements of one block.
     fresh = {}

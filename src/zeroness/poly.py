@@ -5,13 +5,16 @@ fixes the ambient variable set.  Values are immutable after construction;
 every operation returns a new polynomial in canonical form (no zero
 coefficients, unique representation per mathematical polynomial).
 
-This module also owns the packed form that the hot loops run on (see
-:class:`_Packing`): each monomial one ``int``, a polynomial a dict of
-``int`` numerators over one denominator.  Derivation application
-(:meth:`Derivation._apply`) and evaluation (:func:`_evaluate`) are
-written once, as kernels over that form; ``Derivation.__call__`` and
-``Poly.eval`` pack, run the kernel and unpack, and the Groebner layer
-packs with the same class.
+A :class:`Monomial` is a plain exponent record.  All monomial arithmetic
+runs on the packed form this module owns (see :class:`_Packing`): each
+monomial one ``int``, a polynomial a dict of ``int`` numerators over one
+denominator.  Products (:func:`_multiply`, also behind powers and
+substitution), derivation application (:meth:`Derivation._apply`) and
+evaluation (:func:`_evaluate`) are written once, as kernels over that
+form, and renaming renumbers packed fields; ``Poly`` and ``Derivation``
+pack, run the kernel and unpack, and the Groebner layer packs with the
+same class.  An exponent that does not fit its field raises
+:class:`ResourceLimitExceeded` with cap ``'exponent'``.
 """
 
 from __future__ import annotations
@@ -96,12 +99,11 @@ class Monomial:
     """A power product, stored as a tuple of (variable id, exponent > 0)
     pairs sorted by variable id.
 
-    ``_key`` holds the graded key of :meth:`grlex_key` once it has been
-    asked for; constructors leave it unset, so building a monomial costs
-    nothing extra.
+    It is a plain exponent record: products, powers, substitution and
+    renaming run on the packed form of :class:`_Packing`.
     """
 
-    __slots__ = ("exps", "_key")
+    __slots__ = ("exps",)
 
     def __init__(self, exps=()):
         exps = tuple(sorted((v, e) for v, e in exps if e != 0))
@@ -129,81 +131,6 @@ class Monomial:
 
     def variables(self):
         return tuple(v for v, _ in self.exps)
-
-    def grlex_key(self, nvars: int):
-        """``(degree, dense exponents)`` over variables ``0 .. nvars-1``.
-
-        Computed in one pass on first use and cached on the monomial.  The
-        cache holds one context size: a call with another ``nvars`` (the
-        shared constant monomial, say) recomputes and replaces it.
-        """
-        key = getattr(self, "_key", None)
-        if key is not None and len(key[1]) == nvars:
-            return key
-        dense = [0] * nvars
-        degree = 0
-        for v, e in self.exps:
-            dense[v] = e
-            degree += e
-        key = self._key = (degree, tuple(dense))
-        return key
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        a, b = self.exps, other.exps
-        if not b:
-            return self
-        if not a:
-            return other
-        # merge the two sorted tuples; exponents only grow, so stay positive
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            va, vb = a[i][0], b[j][0]
-            if va == vb:
-                out.append((va, a[i][1] + b[j][1]))
-                i += 1
-                j += 1
-            elif va < vb:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial._from_sorted(tuple(out))
-
-    def divides(self, other: "Monomial") -> bool:
-        # walk both sorted tuples: each variable of self must occur in
-        # other with at least its exponent
-        b = other.exps
-        n = len(b)
-        j = 0
-        for v, e in self.exps:
-            while j < n and b[j][0] < v:
-                j += 1
-            if j == n or b[j][0] != v or b[j][1] < e:
-                return False
-            j += 1
-        return True
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) - e
-            if merged[v] < 0:
-                raise ValueError("monomial division with negative exponent")
-        return Monomial(merged.items())
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = max(merged.get(v, 0), e)
-        return Monomial(merged.items())
-
-    def coprime(self, other: "Monomial") -> bool:
-        mine = {v for v, _ in self.exps}
-        return all(v not in mine for v, _ in other.exps)
 
     def __repr__(self):
         if not self.exps:
@@ -243,17 +170,6 @@ def _over_common_denominator(*tables):
     return scaled, d
 
 
-def _times(left: dict, right: dict) -> dict:
-    """Product of two polynomials held as {Monomial: int} dicts; sums that
-    cancel to 0 are dropped."""
-    acc = {}
-    for m1, c1 in left.items():
-        for m2, c2 in right.items():
-            m = m1 * m2
-            acc[m] = acc.get(m, 0) + c1 * c2
-    return {m: c for m, c in acc.items() if c}
-
-
 # Packed monomials ------------------------------------------------------------
 
 
@@ -270,10 +186,6 @@ class MonomialOrder:
         if kind not in (self.GRLEX, self.LEX):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
-
-    def key(self, m: Monomial, nvars: int):
-        key = m.grlex_key(nvars)
-        return key if self.kind == self.GRLEX else key[1]
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
@@ -327,14 +239,21 @@ class _Packing:
             degree += e
         return x + degree * self.unit
 
+    def var(self, v: int) -> int:
+        """The packed variable ``v``."""
+        return (1 << self.shifts[v]) + self.unit
+
     def unpack(self, x: int) -> Monomial:
-        return Monomial._from_sorted(
-            tuple(
-                (v, e)
-                for v, s in enumerate(self.shifts)
-                if (e := (x >> s) & _MAX_EXPONENT)
-            )
-        )
+        # walk the nonzero exponent fields from the highest, variable 0
+        x &= self.exps
+        last = len(self.shifts) - 1
+        exps = []
+        while x:
+            s = (x.bit_length() - 1) & -_FIELD
+            e = x >> s
+            x -= e << s
+            exps.append((last - s // _FIELD, e))
+        return Monomial._from_sorted(tuple(exps))
 
     def pack_terms(self, terms: dict):
         """``(packed, den)``: the rational ``terms`` of a polynomial in
@@ -364,6 +283,15 @@ class _Packing:
         take = ge - (ge >> (_FIELD - 1))  # the exponent bits of those fields
         lcm = (a & take) | (b & (self.exps ^ take))
         return lcm + self._total(lcm) * self.unit
+
+    def check(self, packed: dict) -> dict:
+        """``packed``, once no term of it sets a guard bit: a term that does
+        raises :meth:`overflow`."""
+        guards = self.guards
+        for x in packed:
+            if x & guards:
+                raise self.overflow(x)
+        return packed
 
     def overflow(self, x: int) -> ResourceLimitExceeded:
         """The error for a sum ``x`` of two packed monomials that set a
@@ -431,10 +359,28 @@ def _evaluate(packed: dict, den: int, at, packing: _Packing) -> Fraction:
     return Fraction(total, den * q**top)
 
 
+def _multiply(left: dict, right: dict, packing: _Packing) -> dict:
+    """The product of the numerators ``left`` and ``right`` of two
+    polynomials packed by ``packing``, in the same form.
+
+    The terms come out in the order of the left terms, then of the right
+    terms; sums that cancel to 0 are dropped.  A kept term that sets a
+    guard bit has an exponent past its field and raises
+    :class:`ResourceLimitExceeded` with cap ``'exponent'``.
+    """
+    out = {}
+    get = out.get
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            t = m1 + m2
+            out[t] = get(t, 0) + c1 * c2
+    return packing.check({t: c for t, c in out.items() if c})
+
+
 class Poly:
     """A polynomial: map from :class:`Monomial` to nonzero ``Fraction``.
 
-    Degree of the zero polynomial is 0 by convention, as is its height.
+    Degree of the zero polynomial is 0 by convention.
     """
 
     __slots__ = ("ctx", "terms")
@@ -453,12 +399,6 @@ class Poly:
         if not self.terms:
             return 0
         return max(m.degree for m in self.terms)
-
-    @property
-    def height(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return max(abs(c) for c in self.terms.values())
 
     def constant_term(self) -> Fraction:
         return self.terms.get(_ONE, Fraction(0))
@@ -507,10 +447,10 @@ class Poly:
                 return self.ctx.zero()
             return Poly(self.ctx, {m: c * k for m, k in self.terms.items()})
         self._check(other)
-        (left,), d1 = _over_common_denominator(self.terms)
-        (right,), d2 = _over_common_denominator(other.terms)
-        d = d1 * d2
-        return Poly(self.ctx, {m: Fraction(c, d) for m, c in _times(left, right).items()})
+        packing = _packing(_GRLEX, len(self.ctx))
+        left, d1 = packing.pack_terms(self.terms)
+        right, d2 = packing.pack_terms(other.terms)
+        return packing.poly(self.ctx, _multiply(left, right, packing), d1 * d2)
 
     __rmul__ = __mul__
 
@@ -562,7 +502,7 @@ class Poly:
         if missing:
             names = sorted(self.ctx.name_of(v) for v in missing)
             raise ArityMismatch(f"no image for variables {names}")
-        # each power images[v] ** e once; then, in integers over one
+        # each power images[v] ** e once, packed; then, in integers over one
         # denominator q, a monomial with r such factors is a product over
         # q**r, lifted to the largest r
         powers = {}
@@ -571,31 +511,48 @@ class Poly:
                 if factor not in powers:
                     v, e = factor
                     powers[factor] = images[v] ** e
+        packing = _packing(_GRLEX, len(target))
+        pack = packing.pack
         scaled, q = _over_common_denominator(*(p.terms for p in powers.values()))
-        powers = dict(zip(powers, scaled))
+        powers = {f: {pack(m): c for m, c in t.items()} for f, t in zip(powers, scaled)}
         (terms,), dc = _over_common_denominator(self.terms)
         top = max((len(m.exps) for m in terms), default=0)
-        one = {_ONE: 1}
+        one = {0: 1}
         out = {}
         for m, c in terms.items():
             term = one
             for factor in m.exps:
-                term = powers[factor] if term is one else _times(term, powers[factor])
+                term = powers[factor] if term is one else _multiply(term, powers[factor], packing)
             c *= q ** (top - len(m.exps))
             for k, x in term.items():
                 out[k] = out.get(k, 0) + c * x
-        d = dc * q**top
-        return Poly(target, {k: Fraction(x, d) for k, x in out.items() if x})
+        return packing.poly(target, {k: x for k, x in out.items() if x}, dc * q**top)
 
     def rename(self, target: Context, name_map=None) -> "Poly":
-        """Transport into ``target`` by variable name (or via ``name_map``)."""
-        images = {}
+        """Transport into ``target`` by variable name (or via ``name_map``):
+        each variable id is renumbered to its target's, exponents of ids
+        that meet add up, and the coefficients stay as they are.  The packed
+        term is checked after each factor, so no sum carries out of a field."""
+        packing = _packing(_GRLEX, len(target))
+        moved = {}
         for v in self.variables():
             name = self.ctx.name_of(v)
             if name_map is not None:
                 name = name_map[name]
-            images[v] = target.var(name)
-        return self.substitute(images) if images else target.const(self.constant_term())
+            moved[v] = packing.var(target.id_of(name))
+        guards = packing.guards
+        out = {}
+        for m, c in self.terms.items():
+            x = 0
+            for v, e in m.exps:
+                if e > _MAX_EXPONENT:
+                    raise ResourceLimitExceeded("exponent", e, _MAX_EXPONENT)
+                x += e * moved[v]
+                if x & guards:
+                    raise packing.overflow(x)
+            out[x] = out.get(x, 0) + c
+        unpack = packing.unpack
+        return Poly(target, {unpack(x): c for x, c in out.items()})
 
     # Printing -----------------------------------------------------------
 
@@ -606,14 +563,20 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
+def _grlex(m: Monomial):
+    """Graded lex with variable 0 highest, for printing: by degree, then by
+    the exponent of the lowest variable id where two monomials differ.
+    Unlike a packed key it holds any exponent."""
+    return m.degree, tuple((-v, e) for v, e in m.exps)
+
+
 def format_poly(p: Poly) -> str:
     """Canonical rendering: graded-lex descending terms, ``p/q`` coefficients."""
     if not p.terms:
         return "0"
 
-    nvars = len(p.ctx)
     parts = []
-    for m in sorted(p.terms, key=lambda m: m.grlex_key(nvars), reverse=True):
+    for m in sorted(p.terms, key=_grlex, reverse=True):
         c = p.terms[m]
         factors = [
             f"{p.ctx.name_of(v)}^{e}" if e > 1 else p.ctx.name_of(v) for v, e in m.exps
@@ -693,7 +656,6 @@ class Derivation:
         if cached is None or cached[0] is not packing:
             cached = self._packed = (packing, *self._pack_images(packing))
         _, images, di = cached
-        guards = packing.guards
         out = {}
         get = out.get
         for m, c in packed.items():
@@ -704,11 +666,7 @@ class Derivation:
                     for off, ic in image:
                         t = m + off
                         out[t] = get(t, 0) + ic * ce
-        out = {t: c for t, c in out.items() if c}
-        for t in out:
-            if t & guards:
-                raise packing.overflow(t)
-        return out, den * di
+        return packing.check({t: c for t, c in out.items() if c}), den * di
 
     def _pack_images(self, packing: _Packing):
         nonzero = {v: self.images[v].terms for v in sorted(self.images) if self.images[v].terms}
@@ -716,6 +674,6 @@ class Derivation:
         pack, shifts = packing.pack, packing.shifts
         images = []
         for v, terms in zip(nonzero, scaled):
-            unit = (1 << shifts[v]) + packing.unit  # the packed v
+            unit = packing.var(v)
             images.append((shifts[v], tuple((pack(m) - unit, c) for m, c in terms.items())))
         return tuple(images), di

@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and shares no code path with
 the engines under test: species are evaluated with truncated-series
 combinators only, shuffle products by explicit interleaving enumeration,
-and ideal membership by bounded Macaulay linear algebra over exact
+monomials multiply, divide and compare as dense exponent vectors, and
+ideal membership is decided by bounded Macaulay linear algebra over exact
 rationals.
 """
 
@@ -90,6 +91,61 @@ def shuffle_coefficient(f, g, word):
     return total
 
 
+# Monomial algebra on dense exponent vectors --------------------------------------
+#
+# The library keeps Monomial as a plain exponent record and multiplies,
+# divides and orders monomials only in packed form; these are the
+# references its packed kernels are checked against.
+
+
+def dense(m, nvars):
+    """The exponents of ``m`` over variables ``0 .. nvars-1``."""
+    out = [0] * nvars
+    for v, e in m.exps:
+        out[v] = e
+    return tuple(out)
+
+
+def _dense_pair(a, b):
+    n = 1 + max(a.variables() + b.variables(), default=-1)
+    return zip(dense(a, n), dense(b, n))
+
+
+def _from_dense(exps):
+    return Monomial(tuple(enumerate(exps)))
+
+
+def mono_mul(a, b):
+    return _from_dense(x + y for x, y in _dense_pair(a, b))
+
+
+def mono_div(a, b):
+    """``a / b``; ``b`` must divide ``a``."""
+    exps = [x - y for x, y in _dense_pair(a, b)]
+    if min(exps, default=0) < 0:
+        raise ValueError("monomial division with negative exponent")
+    return _from_dense(exps)
+
+
+def mono_lcm(a, b):
+    return _from_dense(max(x, y) for x, y in _dense_pair(a, b))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in _dense_pair(a, b))
+
+
+def mono_coprime(a, b):
+    return not any(x and y for x, y in _dense_pair(a, b))
+
+
+def order_key(kind, m, nvars):
+    """The sort key of ``m`` over ``nvars`` variables under ``kind``,
+    ``'grlex'`` (degree, then exponents) or ``'lex'``, variable 0 highest."""
+    e = dense(m, nvars)
+    return (sum(e), e) if kind == "grlex" else e
+
+
 # Ideal membership by bounded Macaulay linear algebra ----------------------------
 
 
@@ -139,7 +195,8 @@ def macaulay_member(p: Poly, gens, bound: int) -> bool:
         for mu in _monomials_up_to(ctx, bound - g.degree):
             shifted = {}
             for m, c in g.terms.items():
-                shifted[m * mu] = shifted.get(m * mu, Fraction(0)) + c
+                key = mono_mul(m, mu)
+                shifted[key] = shifted.get(key, Fraction(0)) + c
             columns.append(shifted)
     row_monomials = _monomials_up_to(ctx, bound)
     rows = [[col.get(m, Fraction(0)) for col in columns] for m in row_monomials]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -222,6 +223,19 @@ def test_check_laws_rejects_a_non_associative_table(monkeypatch):
 def test_recognizer_of_a_large_modulus():
     rec = K.recognizer(K.ModEq(1, 0, 400), 1)
     assert (rec.size, rec.images, rec.accepting) == (400, (1,), {0})
+
+
+def test_recognizer_of_a_large_threshold():
+    # z1 >= 64 is 64 nested Ors; each product is built only over the pairs
+    # reachable from the identity, not as the full table
+    expr = K.ge(1, 64)
+    start = time.perf_counter()
+    rec = K.recognizer(expr, 1)
+    assert time.perf_counter() - start < 5
+    element = rec.identity
+    for n in range(71):
+        assert (element in rec.accepting) == K.contains(expr, (n,))
+        element = rec.add(element, rec.images[0])
 
 
 def test_restrict_exp_to_single_degree():

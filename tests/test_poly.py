@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zeroness.errors import ArityMismatch, ContextMismatch
-from zeroness.poly import Context, Derivation, Monomial, Poly
+from oracles import mono_mul, order_key
+from zeroness.errors import ArityMismatch, ContextMismatch, ResourceLimitExceeded
+from zeroness.poly import _MAX_EXPONENT, Context, Derivation, Monomial, Poly, _grlex
 
 
 @pytest.fixture
@@ -196,9 +197,7 @@ def test_monomial_rejects_negative_exponent():
 
 def test_degree_and_height_conventions(ctx):
     assert ctx.zero().degree == 0
-    assert ctx.zero().height == 0
     p = 3 * ctx.var("x") - ctx.const(Fraction(7, 2))
-    assert p.height == Fraction(7, 2)
     assert p.degree == 1
 
 
@@ -208,6 +207,61 @@ def test_canonical_printing(ctx):
     assert str(p) == "x^2 + 1/2*x*y - y - 3"
     assert str(ctx.zero()) == "0"
     assert str(-x) == "-x"
+    assert str(y**2 + x * y + x**2) == "x^2 + x*y + y^2"
+    # printing sorts without packing, so any exponent prints
+    assert str(Poly(ctx, {Monomial(((1, 2**40),)): 1})) == "y^1099511627776"
+    assert str(Poly(ctx, {Monomial(((0, 2**40),)): 1}) + y**3) == "x^1099511627776 + y^3"
+
+
+def test_overflowing_exponents_are_a_resource_cap(ctx):
+    # products, powers, substitution and renaming run on packed monomials:
+    # a result with an exponent of 2**31 or more is refused, never wrapped
+    x, y = ctx.var("x"), ctx.var("y")
+    huge = Poly(ctx, {Monomial(((1, 2**40),)): 1})
+    edge = Poly(ctx, {Monomial(((0, _MAX_EXPONENT),)): 1})
+    merged = Context(["z"])
+    three = Context(["a", "b", "c"])
+    edge3 = Poly(three, {Monomial((v, _MAX_EXPONENT) for v in range(3)): 1})
+    cases = [
+        (lambda: huge * x, 2**40),
+        (lambda: x * huge, 2**40),
+        (lambda: edge * x, _MAX_EXPONENT + 1),
+        (lambda: (edge + y) * (x + 1), _MAX_EXPONENT + 1),
+        (lambda: x ** (2**31), 2**31),
+        (lambda: (x ** (2**16) * y) ** (2**15), 2**31),
+        (lambda: (x ** (2**30) + y) ** 2, 2**31),
+        (lambda: edge.substitute({0: x * y}) * x, _MAX_EXPONENT + 1),
+        (lambda: (edge * y).substitute({0: x, 1: x}), _MAX_EXPONENT + 1),
+        (lambda: Poly(ctx, {Monomial(((0, 2**20),)): 1}).substitute({0: y ** (2**11)}), 2**31),
+        (lambda: huge.substitute({1: x}), 2**31),  # x ** 2**40 by squaring
+        (lambda: huge.rename(ctx), 2**40),
+        (lambda: (edge * y).rename(merged, {"x": "z", "y": "z"}), _MAX_EXPONENT + 1),
+        # three fields of 2**31 - 1 meeting in one would carry out of it
+        (lambda: edge3.rename(merged, dict.fromkeys("abc", "z")), 2 * _MAX_EXPONENT),
+    ]
+    for run, value in cases:
+        with pytest.raises(ResourceLimitExceeded) as refused:
+            run()
+        assert (refused.value.cap, refused.value.value) == ("exponent", value)
+    # at the field's edge nothing is refused
+    assert (edge * y).rename(ctx) == edge * y
+    assert edge.substitute({0: y}).degree == _MAX_EXPONENT
+    assert ((x + y) * (x - y)).rename(merged, {"x": "z", "y": "z"}) == merged.zero()
+
+
+def test_rename_renumbers_by_name():
+    src = Context(["a", "b", "c"])
+    a, b, c = (src.var(n) for n in "abc")
+    target = Context(["c", "u", "a", "b"])
+    p = Fraction(1, 3) * a**2 * c - b + 5
+    q = p.rename(target)
+    assert list(q.terms.values()) == list(p.terms.values())
+    assert str(q) == "1/3*c*a^2 - b + 5"
+    # names that meet add their exponents and their coefficients
+    merged = (a * b + b * a - c**2).rename(target, {"a": "u", "b": "u", "c": "u"})
+    assert str(merged) == "u^2"
+    with pytest.raises(KeyError, match="unknown variable 'c'"):
+        c.rename(Context(["a", "b"]))
 
 
 # The product-and-sum kernels accumulate integer numerators over one common
@@ -244,7 +298,7 @@ def reference_mul(p, q):
     terms = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = m1 * m2
+            m = mono_mul(m1, m2)
             terms[m] = terms.get(m, Fraction(0)) + c1 * c2
     return [(m, c) for m, c in terms.items() if c != 0]
 
@@ -278,9 +332,16 @@ def reference_derive(d, p):
                 continue
             rest = Monomial(tuple((u, f - (u == v)) for u, f in m.exps))
             for im, ic in d.images[v].terms.items():
-                key = im * rest
+                key = mono_mul(im, rest)
                 out[key] = out.get(key, Fraction(0)) + c * e * ic
     return [(m, c) for m, c in out.items() if c != 0]
+
+
+@given(st.lists(monomials, max_size=8, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_print_order_is_grlex(ms):
+    want = sorted(ms, key=lambda m: order_key("grlex", m, 3))
+    assert sorted(ms, key=_grlex) == want
 
 
 @given(kernel_polys(), kernel_polys())
