@@ -158,17 +158,29 @@ def fold(start: Poly, word):
     packing = _packing(_GRLEX, len(start.ctx))
     packed, den = packing.pack_terms(start.terms)
     for op in word:
-        if op.ctx is not start.ctx:
-            raise ContextMismatch("derivation applied outside its context")
+        _check_context(op, start)
         packed, den = op._apply(packed, den, packing)
     return packing, packed, den
 
 
 def fold_value(start: Poly, word, point) -> Fraction:
     """The value at ``point`` of :func:`fold`'s polynomial, evaluated
-    packed."""
-    packing, packed, den = fold(start, word)
-    return _evaluate(packed, den, packing.point(point), packing)
+    packed.  Every letter but the last is folded; the last acts through
+    its images' values at the point (:meth:`Derivation._apply_at`), so its
+    polynomial, the largest, is never built, and an exponent cap fires
+    only in the folds that are."""
+    word = list(word)
+    packing, packed, den = fold(start, word[:-1])
+    at = packing.point(point)
+    if word:
+        _check_context(word[-1], start)
+        packed, den = word[-1]._apply_at(packed, den, packing, at)
+    return _evaluate(packed, den, at, packing)
+
+
+def _check_context(op: Derivation, start: Poly):
+    if op.ctx is not start.ctx:
+        raise ContextMismatch("derivation applied outside its context")
 
 
 def decide(system: System, expr: Poly, limits=None):

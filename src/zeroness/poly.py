@@ -596,13 +596,39 @@ def format_poly(p: Poly) -> str:
     return " ".join(parts)
 
 
+def _derive(packed: dict, den: int, images, di: int, packing: _Packing):
+    """The derivation with packed ``images`` over ``di`` (as in
+    :class:`Derivation`'s ``_packed``) of the polynomial ``packed`` over
+    ``den``, in the same form: sum over terms c*m and variables v^e of m
+    of c*e * (m / v) * image(v).
+
+    The terms come out in the order of the input terms, then of the
+    variables of each term by increasing id, then of the image terms as
+    stored; sums that cancel to 0 are dropped.  A term is ``m`` plus the
+    packed ``image term / v``, which is exact because v occurs in m.  A
+    kept term that sets a guard bit has an exponent past its field and
+    raises :class:`ResourceLimitExceeded` with cap ``'exponent'``.
+    """
+    out = {}
+    get = out.get
+    for m, c in packed.items():
+        for s, image in images:
+            e = m >> s & _MAX_EXPONENT
+            if e:
+                ce = c * e
+                for off, ic in image:
+                    t = m + off
+                    out[t] = get(t, 0) + ic * ce
+    return packing.check({t: c for t, c in out.items() if c}), den * di
+
+
 class Derivation:
     """A derivation of the polynomial ring, fixed by its images on variables.
 
     Missing images default to 0, so a derivation is always total.  Applying
     it satisfies linearity and the Leibniz rule exactly.
 
-    ``_packed`` holds the nonzero images in the form :meth:`_apply` runs
+    ``_packed`` holds the nonzero images in the form :func:`_derive` runs
     on, for one packing: ``(packing, images, d)``, where ``images`` lists
     ``(shift of v, ((packed image term / v, int coefficient), ...))`` by
     increasing variable id ``v`` and ``d`` is the images' common
@@ -641,32 +667,37 @@ class Derivation:
 
     def _apply(self, packed: dict, den: int, packing: _Packing):
         """The derivation of the polynomial ``packed`` over ``den``, in
-        the same form: sum over terms c*m and variables v^e of m of
-        c*e * (m / v) * image(v).
+        the same form: :func:`_derive` with the packed images."""
+        return _derive(packed, den, *self._images(packing), packing)
 
-        The terms come out in the order of the input terms, then of the
-        variables of each term by increasing id, then of the image terms
-        as stored; sums that cancel to 0 are dropped.  A term is ``m``
-        plus the packed ``image term / v``, which is exact because v
-        occurs in m.  A kept term that sets a guard bit has an exponent
-        past its field and raises :class:`ResourceLimitExceeded` with cap
-        ``'exponent'``.
+    def _apply_at(self, packed: dict, den: int, packing: _Packing, at):
+        """A polynomial with the value at ``at`` (of :meth:`_Packing.point`)
+        that :meth:`_apply`'s has, in the same form.
+
+        By the chain rule, (D p)(a) = sum over v of (D v)(a) * (dp/dv)(a),
+        so each image is replaced by its value at the point: the result
+        has at most one term per term of ``packed`` and variable, each an
+        exponent lowered by one, so it never overflows.
         """
+        images, d = self._images(packing)
+        unit = packing.unit
+        values = {
+            s: _evaluate({off + (1 << s) + unit: c for off, c in image}, d, at, packing)
+            for s, image in images
+        }
+        (scaled,), dv = _over_common_denominator(values)
+        # a list: a tuple built from a generator is resized, and once freed
+        # it stays on the interpreter's tuple free list, one per call
+        constants = [(s, ((-(1 << s) - unit, c),)) for s, c in scaled.items() if c]
+        return _derive(packed, den, constants, dv, packing)
+
+    def _images(self, packing: _Packing):
+        """``(images, d)`` of ``_packed`` for ``packing``, packed afresh
+        when the cache holds another packing."""
         cached = self._packed
         if cached is None or cached[0] is not packing:
             cached = self._packed = (packing, *self._pack_images(packing))
-        _, images, di = cached
-        out = {}
-        get = out.get
-        for m, c in packed.items():
-            for s, image in images:
-                e = m >> s & _MAX_EXPONENT
-                if e:
-                    ce = c * e
-                    for off, ic in image:
-                        t = m + off
-                        out[t] = get(t, 0) + ic * ce
-        return packing.check({t: c for t, c in out.items() if c}), den * di
+        return cached[1:]
 
     def _pack_images(self, packing: _Packing):
         nonzero = {v: self.images[v].terms for v in sorted(self.images) if self.images[v].terms}

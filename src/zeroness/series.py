@@ -31,15 +31,6 @@ def factorial_vec(n) -> int:
     return out
 
 
-def _exponents_upto(d, N):
-    """All exponent vectors in N^d with total degree <= N, graded order."""
-    if d == 0:
-        yield ()
-        return
-    for total in range(N + 1):
-        yield from _exponents_of_degree(d, total)
-
-
 def _exponents_of_degree(d, total):
     if d == 1:
         yield (total,)

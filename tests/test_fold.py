@@ -1,7 +1,9 @@
-"""Words of derivations run packed: ``coeff_via_lie``, ``wbpp.evaluate``
-and ``delta_word`` fold one packed kernel per letter and evaluate once.
-Each must give what the plain-Fraction reference below gives: apply the
-derivation letter by letter to dense exponent tuples, then evaluate."""
+"""Words of derivations run packed: ``delta_word`` folds one packed
+kernel per letter, and ``coeff_via_lie`` and ``wbpp.evaluate`` fold every
+letter but the last, then evaluate the last through its images' values at
+the point (the chain rule), so an exponent cap fires only in a fold that is
+built.  Each must give what the plain-Fraction reference below gives: apply
+the derivation letter by letter to dense exponent tuples, then evaluate."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 from zeroness import _system, cli
 from zeroness import cdf as C
 from zeroness import wbpp as W
-from zeroness.errors import ResourceLimitExceeded
-from zeroness.poly import _MAX_EXPONENT, Context, Derivation, Monomial, Poly
+from zeroness.errors import ContextMismatch, ResourceLimitExceeded
+from zeroness.poly import _MAX_EXPONENT, Context, Derivation, Monomial, Poly, _evaluate
 
 GENERATORS = ("a", "b", "c")
 LETTERS = ("p", "q")
@@ -169,9 +171,74 @@ def test_derivation_after_its_context_grows():
     assert _system.fold_value(y**2, [e, d], [2, 3]) == 30  # d(2xy) = 2(x^2 + 1)y
 
 
+@given(systems(len(LETTERS)), st.lists(st.integers(0, len(LETTERS) - 1), max_size=4))
+@example((2, [{0: {(0, 1): 1}}, {}], [Fraction(1, 3), 0], {(1, 1): 1}), [0, 1])  # no images
+@settings(max_examples=150, deadline=None)
+def test_fold_value_is_the_value_of_the_fold(case, letters):
+    # the full fold, evaluated packed, is what fold_value computed before
+    # it evaluated the last letter at the point
+    nvars, images, point, start = case
+    ctx = Context(GENERATORS[:nvars])
+    ops = [Derivation(ctx, {v: to_poly(ctx, p) for v, p in op.items()}) for op in images]
+    word = [ops[i] for i in letters]
+    start = to_poly(ctx, start)
+    packing, packed, den = _system.fold(start, word)
+    value = _system.fold_value(start, word, point)
+    assert value == _evaluate(packed, den, packing.point(point), packing)
+    assert type(value) is Fraction
+
+
+def test_fold_value_edge_cases():
+    ctx = Context(["x", "y"])
+    x, y = ctx.var("x"), ctx.var("y")
+    start = 3 * x**2 * y + Fraction(1, 2)
+
+    def value(word, point):
+        got = _system.fold_value(start, word, point)
+        assert type(got) is Fraction
+        return got
+
+    # the empty word evaluates the start
+    assert value([], [2, Fraction(1, 3)]) == Fraction(9, 2)
+    # a last letter with no images
+    d = Derivation(ctx, {0: y, 1: x + 1})
+    none = Derivation(ctx, {})
+    assert value([none], [2, 3]) == 0
+    assert value([d, none], [2, 3]) == 0
+    # images that all vanish at the point, of a polynomial that does not vanish
+    vanish = Derivation(ctx, {0: y - 1, 1: x - 2})
+    assert not vanish(start).is_zero()
+    assert value([vanish], [2, 1]) == 0
+    assert value([d, vanish], [2, 1]) == 0
+    # a coordinate of 0 under an exponent of 1: lowering x^1 leaves a factor 1
+    f = Derivation(ctx, {0: y, 1: ctx.const(2)})
+    xy = x * y**2 + x  # f(xy) = y^3 + 4xy + y
+    assert _system.fold_value(xy, [f], [0, 3]) == 30 == f(xy).eval([0, 3])
+    assert _system.fold_value(xy, [d, f], [0, 3]) == f(d(xy)).eval([0, 3])
+    # a last letter outside the context
+    other = Derivation(Context(["x", "y"]), {})
+    with pytest.raises(ContextMismatch):
+        _system.fold_value(start, [d, other], [2, 3])
+
+
+def test_two_axis_lie_ending_on_axis_two():
+    # a = e^x1, b = e^(2 x2), c = x2: f = a b c + c^2 has
+    # f_(n1, n2) = n2 2^(n2 - 1), plus 2 at (0, 2)
+    ctx = Context(["a", "b", "c"])
+    kernel = {("a", 1): ctx.var("a"), ("b", 2): 2 * ctx.var("b"), ("c", 2): ctx.one()}
+    sys = C.CdfSystem(("x1", "x2"), ctx.names, kernel, [1, 1, 0])
+    a, b, c = (sys.ctx.var(n) for n in "abc")
+    s = C.CdfSeries(sys, a * b * c + c**2)
+    table = C.coeff_table(s, 4)
+    for n in [(0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (1, 3)]:
+        want = n[1] * 2 ** (n[1] - 1) + (2 if n == (0, 2) else 0)
+        assert C.coeff_via_lie(s, n) == want == table[n]
+
+
 @pytest.mark.parametrize("top", [_MAX_EXPONENT, 2**40])
 def test_fold_exponent_overflow_is_a_resource_cap(top):
-    # with e' = e^2, one letter takes e^M to M e^(M+1): past the field
+    # with e' = e^2, a folded letter takes e^M to M e^(M+1): past the field;
+    # the last letter of an evaluated word is not folded, so it takes two
     want = _MAX_EXPONENT + 1 if top == _MAX_EXPONENT else top
     ctx = Context(["e"])
     e = ctx.var("e")
@@ -180,8 +247,8 @@ def test_fold_exponent_overflow_is_a_resource_cap(top):
     m = W.Wbpp(["a"], ["X"], "X", {("a", "X"): Context(["X"]).var("X") ** 2}, {"X": 1})
     config = Poly(m.ctx, {Monomial(((0, top),)): Fraction(2)})
     for run in (
-        lambda: C.coeff_via_lie(C.CdfSeries(sys, big), (1,)),
-        lambda: W.evaluate(m, config, "a"),
+        lambda: C.coeff_via_lie(C.CdfSeries(sys, big), (2,)),
+        lambda: W.evaluate(m, config, "aa"),
         lambda: W.delta_word(m, "a", config),
         lambda: m.op("a")(config),
     ):
@@ -190,12 +257,17 @@ def test_fold_exponent_overflow_is_a_resource_cap(top):
         assert (refused.value.cap, refused.value.value) == ("exponent", want)
         assert refused.value.limit == _MAX_EXPONENT
 
+    if top == _MAX_EXPONENT:
+        # one letter only lowers the exponent: M e^(M-1) e^2 at e = 1
+        assert C.coeff_via_lie(C.CdfSeries(sys, big), (1,)) == top
+        assert W.evaluate(m, config, "a") == 2 * top
+
     # the command line reports it as a resource limit, exit code 4
     huge = W.Wbpp.of(m.alphabet, m.core, config)
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(cli, "_load", return_value=("wbpp", huge)):
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["eval", "huge.wbpp", "--word", "a"])
+            code = cli.main(["eval", "huge.wbpp", "--word", "aa"])
     assert code == 4
     assert out.getvalue() == ""
     assert err.getvalue().startswith("INCONCLUSIVE_RESOURCE_LIMIT (resource cap 'exponent'")
