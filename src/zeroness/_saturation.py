@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ResourceLimitExceeded
 from .groebner import DEFAULT_LIMITS, buchberger, extend
-from .poly import MonomialOrder, _evaluate, _packing
+from .poly import _evaluate, _packing
 
 
 class Outcome(Enum):
@@ -73,13 +73,12 @@ def saturate(start, ops, point, limits=None) -> ZeroVerdict:
 
     ``ops`` is the ordered family of derivations (the BFS tries them in
     this order, so witnesses are shortest and lexicographically least).
-    Every polynomial of the search stays in the packed form of the basis's
-    grlex packing, from the start through each derivation and evaluation
-    to ``extend``; the degree cap reads the degree field.
+    Every polynomial of the search stays packed by its context's packing,
+    from the start through each derivation and evaluation to ``extend``;
+    the degree cap reads the degree field.
     """
     limits = limits or DEFAULT_LIMITS
-    order = MonomialOrder()
-    packing = _packing(order, len(start.ctx))
+    packing = _packing(len(start.ctx))
     at = packing.point(point)
     max_degree = start.degree
 
@@ -94,7 +93,7 @@ def saturate(start, ops, point, limits=None) -> ZeroVerdict:
             return ZeroVerdict(Outcome.NONZERO, (), value, stats(0, 0))
         if start.is_zero():
             return ZeroVerdict(Outcome.ZERO, stats=stats(0, 0))
-        basis = buchberger([start], order, limits)
+        basis = buchberger([start], limits)
         frontier = deque([(beta, ())])
         while frontier:
             beta, word = frontier.popleft()

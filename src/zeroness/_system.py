@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from ._saturation import saturate
 from .errors import ArityMismatch, ContextMismatch
-from .poly import _GRLEX, Context, Derivation, Monomial, Poly, _evaluate, _packing
+from .poly import Context, Derivation, Monomial, Poly, _evaluate, _packing
 
 
 class System:
@@ -65,9 +65,10 @@ def union(first: System, second: System, suffixes=("_1", "_2")):
     if len(first.ops) != len(second.ops):
         raise ArityMismatch("systems over different base dimensions")
     s1, s2 = suffixes
-    ctx = Context([n + s1 for n in first.ctx.names])
+    names = [n + s1 for n in first.ctx.names]
     for n in second.ctx.names:
-        ctx.add(fresh(n + s2, ctx))
+        names.append(fresh(n + s2, names))
+    ctx = Context(names)
     n = len(first.ctx)
     shift = range(n, n + len(second.ctx))
     ops = []
@@ -153,9 +154,9 @@ def prune(system: System, exprs):
 
 def fold(start: Poly, word):
     """``start`` with the ops of ``word`` applied in turn, first letter
-    first, as ``(packing, packed, den)``: packed once under grlex, each op
-    run by its packed kernel, nothing unpacked in between."""
-    packing = _packing(_GRLEX, len(start.ctx))
+    first, as ``(packing, packed, den)``: packed once by the context's
+    packing, each op run by its packed kernel, nothing unpacked in between."""
+    packing = _packing(len(start.ctx))
     packed, den = packing.pack_terms(start.terms)
     for op in word:
         _check_context(op, start)

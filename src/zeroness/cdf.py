@@ -31,7 +31,7 @@ from .errors import (
     NotComposable,
     NotWellPosed,
 )
-from .poly import _GRLEX, Context, Derivation, Poly, _packing
+from .poly import Context, Derivation, Poly, _packing
 from .series import TruncSeries, _exponents_of_degree
 
 
@@ -166,11 +166,13 @@ def autonomize(base_names, generators, kernel, init) -> CdfSystem:
             name = p.ctx.name_of(v)
             if name in base_names:
                 occurring.add(name)
-    ctx = Context(generators)
+    names = list(generators)
     trackers = {}
     for b in base_names:
         if b in occurring:
-            trackers[b] = ctx.name_of(ctx.add(fresh(f"t_{b}", ctx)))
+            trackers[b] = fresh(f"t_{b}", names)
+            names.append(trackers[b])
+    ctx = Context(names)
     new_kernel = {
         (g, a): p.rename(ctx, {n: trackers.get(n, n) for n in p.ctx.names})
         for (g, a), p in kernel.items()
@@ -413,7 +415,7 @@ def _restriction_of_poly(p: Poly, rec: MonoidRecognizer, target: Context, gname)
     sit at the identity, and products convolve over the monoid.  The
     parts convolve packed monomials; a copy's exponent is at most its
     variable's, so none grows past the input's."""
-    packing = _packing(_GRLEX, len(target))
+    packing = _packing(len(target))
     out = {}
     for mono, c in p.terms.items():
         parts = {rec.identity: {0: c}}
@@ -573,10 +575,11 @@ def implicit_solve(series_list, names=None):
 
     if names is None:
         names = [f"y{i}" for i in range(1, k + 1)]
-    target = Context(sys.ctx.names)
-    for nm in names:
-        target.add(fresh(nm, target))
-    delta = target.var_by_id(target.add(fresh("detinv", target)))
+    taken = list(sys.ctx.names)
+    for nm in [*names, "detinv"]:
+        taken.append(fresh(nm, taken))
+    target = Context(taken)
+    delta = target.var_by_id(len(target) - 1)
     ynames = target.names[sys.order : -1]
 
     def emb(p):

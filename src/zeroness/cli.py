@@ -136,7 +136,7 @@ def cmd_eval(args):
 def cmd_coeffs(args):
     kind, payload = _load(args.file)
     if kind == "wbpp":
-        table = wbpp.coeffs_up_to(payload, payload.start, args.max)
+        table = wbpp.coeffs_up_to(payload, payload.start, args.max, _limits(args))
         for word in sorted(table, key=lambda w: (len(w), w)):
             value = table[word]
             if value != 0:
@@ -225,29 +225,31 @@ def _check_one(path):
 
 
 def _species_check(expr, sorts):
-    """Collect well-posedness diagnostics from every fixpoint block."""
+    """Collect well-posedness diagnostics from every fixpoint block, each
+    checked with the binders and slots that enclose it, as compilation
+    binds them."""
     problems = []
 
-    def walk(e, dim):
+    def walk(e, dim, env):
         if isinstance(e, species.Fix):
-            ok, diag = species.well_posed(e, dim)
+            ok, diag = species.well_posed(e, dim, env)
             if not ok:
                 problems.extend(diag)
+            names = [nm for nm, _ in e.bindings]
+            inner = species.bind(env, names, dim)
             for _, body in e.bindings:
-                walk(body, dim + len(e.bindings))
+                walk(body, dim + len(names), inner)
         elif isinstance(e, (species.Sum, species.Prod)):
-            walk(e.left, dim)
-            walk(e.right, dim)
-        elif isinstance(e, (species.Set, species.Cyc, species.Seq)):
-            walk(e.child, dim)
-        elif isinstance(e, species.Restrict):
-            walk(e.child, dim)
+            walk(e.left, dim, env)
+            walk(e.right, dim, env)
+        elif isinstance(e, (species.Set, species.Cyc, species.Seq, species.Restrict)):
+            walk(e.child, dim, env)
         elif isinstance(e, species.StrongCompose):
-            walk(e.outer, dim + len(e.subs))
+            walk(e.outer, dim + len(e.subs), species.bind(env, e.slots, dim))
             for s in e.subs:
-                walk(s, dim)
+                walk(s, dim, env)
 
-    walk(expr, sorts)
+    walk(expr, sorts, {})
     return problems
 
 
@@ -291,7 +293,8 @@ def build_parser():
     parser.add_argument("--max-basis", type=_bound, default=512,
                         help="cap on Groebner basis size")
     parser.add_argument("--timeout-iterations", type=_bound, default=200_000,
-                        help="cap on pair-reduction steps")
+                        help="cap on pair-reduction steps, and on the words "
+                        "that coeffs enumerates for a process")
     parser.add_argument("--stats", action="store_true",
                         help="print saturation statistics")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,10 +4,13 @@ This is the termination and membership engine behind the zeroness
 procedures: ideal membership is decided by reduction against a reduced
 Groebner basis, and saturation loops extend bases incrementally.
 
+Every basis is taken under graded lex with variable 0 highest, the one
+monomial order of the library; membership is the same under any order.
 Inside the layer a monomial is one ``int`` (see
 :class:`~zeroness.poly._Packing`), so the order is integer comparison, a
 product is a sum and divisibility is a mask test; polynomials enter and
-leave as :class:`~zeroness.poly.Poly`, or already packed.
+leave as :class:`~zeroness.poly.Poly`, or already packed by their
+context's packing.
 
 All computations carry resource caps; hitting one raises
 :class:`~zeroness.errors.ResourceLimitExceeded`, which callers surface as
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ResourceLimitExceeded
-from .poly import _MAX_EXPONENT, MonomialOrder, Poly, _Packing, _packing  # noqa: F401 (re-exported)
+from .errors import ContextMismatch, ResourceLimitExceeded
+from .poly import _MAX_EXPONENT, Poly, _packing  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -46,18 +49,18 @@ class GroebnerBasis:
     another head, every tail irreducible, sorted ascending by head.
 
     ``entries`` holds the tuples of :func:`_monic_entry`, packed by
-    ``packing``: each generator's head and its tail in integers.  They are
-    computed once, when the basis is built; a basis is never modified after
-    construction, and reduction and completion read heads and tails from
-    here.  ``generators`` unpacks them into ``Poly`` objects on first use.
+    ``packing``, the packing of ``ctx``: each generator's head and its tail
+    in integers.  They are computed once, when the basis is built; a basis
+    is never modified after construction, and reduction and completion read
+    heads and tails from here.  ``generators`` unpacks them into ``Poly``
+    objects on first use.
     """
 
-    __slots__ = ("ctx", "order", "packing", "entries", "_generators")
+    __slots__ = ("ctx", "packing", "entries", "_generators")
 
-    def __init__(self, ctx, order: MonomialOrder, packing: _Packing, entries):
+    def __init__(self, ctx, entries):
         self.ctx = ctx
-        self.order = order
-        self.packing = packing
+        self.packing = _packing(len(ctx))
         self.entries = tuple(entries)
         self._generators = None
 
@@ -127,22 +130,6 @@ class _Budget:
             raise ResourceLimitExceeded("max_iterations", "exhausted", "budget")
 
 
-def _packed_entries(basis: GroebnerBasis, packing: _Packing):
-    """``basis.entries`` packed by ``packing``: as stored, or repacked when
-    the context has grown since the basis was built."""
-    old = basis.packing
-    if packing is old:
-        return basis.entries
-
-    def repack(m):
-        return packing.pack(old.unpack(m))
-
-    return tuple(
-        (repack(h), {repack(m): c for m, c in tail.items()}, d)
-        for h, tail, d in basis.entries
-    )
-
-
 def reduce(p: Poly, basis: GroebnerBasis, limits: "GroebnerLimits" = None) -> Poly:
     """Full normal form of ``p`` modulo ``basis``.
 
@@ -151,17 +138,18 @@ def reduce(p: Poly, basis: GroebnerBasis, limits: "GroebnerLimits" = None) -> Po
     stored order.
     """
     limits = limits or DEFAULT_LIMITS
-    packing = _packing(basis.order, len(p.ctx))
-    remainder, den = _reduce(
-        p, _packed_entries(basis, packing), packing, _Budget(limits.max_iterations)
-    )
+    packing = basis.packing
+    budget = _Budget(limits.max_iterations)
+    remainder, den = _reduce(p, basis.ctx, basis.entries, packing, budget)
     return packing.poly(p.ctx, remainder, den)
 
 
-def _reduce(p, entries, packing: _Packing, budget: _Budget):
-    """``(remainder, den)`` of :func:`_normal_form` for ``p``: a ``Poly``,
-    or a pair ``(packed, den)`` already packed by ``packing``."""
+def _reduce(p, ctx, entries, packing, budget: _Budget):
+    """``(remainder, den)`` of :func:`_normal_form` for ``p``: a ``Poly``
+    of ``ctx``, or a pair ``(packed, den)`` already packed by ``packing``."""
     if isinstance(p, Poly):
+        if p.ctx is not ctx:
+            raise ContextMismatch("polynomial outside the basis's context")
         work, den = packing.pack_terms(p.terms)
     else:
         packed, den = p
@@ -333,48 +321,44 @@ def _complete(gens, pairs, packing, limits, budget, seq):
     return gens
 
 
-def buchberger(
-    gens, order: MonomialOrder = None, limits: GroebnerLimits = None, ctx=None
-) -> GroebnerBasis:
+def buchberger(gens, limits: GroebnerLimits = None, ctx=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     ``ctx`` is only needed for an empty (or all-zero) generator list,
     where the zero ideal has no context to infer from.
     """
-    order = order or MonomialOrder()
     limits = limits or DEFAULT_LIMITS
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         if ctx is None:
             raise ValueError("empty generator list needs an explicit ctx")
-        return GroebnerBasis(ctx, order, _packing(order, len(ctx)), ())
+        return GroebnerBasis(ctx, ())
     ctx = gens[0].ctx
-    packing = _packing(order, len(ctx))
+    packing = _packing(len(ctx))
     budget = _Budget(limits.max_iterations)
     seq = itertools.count()
     basis, pairs = [], []
     for g in gens:
-        h, _ = _reduce(g, basis, packing, budget)
+        h, _ = _reduce(g, ctx, basis, packing, budget)
         if h:
             new = _new_entry(h, len(basis), packing, limits)
             pairs = _gm_update(basis, pairs, new, packing, seq)
     basis = _complete(basis, pairs, packing, limits, budget, seq)
-    return GroebnerBasis(ctx, order, packing, _interreduce(basis, packing, budget))
+    return GroebnerBasis(ctx, _interreduce(basis, packing, budget))
 
 
 def extend(basis: GroebnerBasis, p, limits: GroebnerLimits = None) -> GroebnerBasis:
     """Groebner basis of ideal(basis) + <p>, reusing the existing basis.
 
     ``p`` is a ``Poly``, or a pair ``(packed, den)`` in the packed form of
-    :class:`~zeroness.poly._Packing`, packed by the basis's order over its
-    context as it is now; saturation keeps its polynomials so.  Returns
-    ``basis`` itself when ``p`` is already a member.
+    :class:`~zeroness.poly._Packing`, packed by ``basis.packing``;
+    saturation keeps its polynomials so.  Returns ``basis`` itself when
+    ``p`` is already a member.
     """
     limits = limits or DEFAULT_LIMITS
-    packing = _packing(basis.order, len(basis.ctx))
-    entries = _packed_entries(basis, packing)
+    packing, entries = basis.packing, basis.entries
     budget = _Budget(limits.max_iterations)
-    h, _ = _reduce(p, entries, packing, budget)
+    h, _ = _reduce(p, basis.ctx, entries, packing, budget)
     if not h:
         return basis
     new = _new_entry(h, len(entries), packing, limits)
@@ -382,7 +366,7 @@ def extend(basis: GroebnerBasis, p, limits: GroebnerLimits = None) -> GroebnerBa
     seq = itertools.count()
     pairs = _gm_update(gens, [], new, packing, seq)
     gens = _complete(gens, pairs, packing, limits, budget, seq)
-    return GroebnerBasis(basis.ctx, basis.order, packing, _interreduce(gens, packing, budget))
+    return GroebnerBasis(basis.ctx, _interreduce(gens, packing, budget))
 
 
 def ideal_contains(basis: GroebnerBasis, p: Poly) -> bool:
@@ -390,9 +374,7 @@ def ideal_contains(basis: GroebnerBasis, p: Poly) -> bool:
 
 
 def ideal_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
-    """With reduced bases under one order, equality is generator equality."""
+    """With reduced bases, equality is generator equality."""
     if not isinstance(b, GroebnerBasis):
         return NotImplemented
-    if a.order != b.order:
-        raise ValueError("bases use different monomial orders")
     return list(a.generators) == list(b.generators)

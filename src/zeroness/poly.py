@@ -1,14 +1,15 @@
 """Sparse multivariate polynomials over exact rationals.
 
-All polynomials live in a :class:`Context`, an interned symbol table that
-fixes the ambient variable set.  Values are immutable after construction;
-every operation returns a new polynomial in canonical form (no zero
-coefficients, unique representation per mathematical polynomial).
+All polynomials live in a :class:`Context`, a symbol table whose
+variables are fixed when it is made.  Values are immutable after
+construction; every operation returns a new polynomial in canonical form
+(no zero coefficients, unique representation per mathematical polynomial).
 
 A :class:`Monomial` is a plain exponent record.  All monomial arithmetic
 runs on the packed form this module owns (see :class:`_Packing`): each
-monomial one ``int``, a polynomial a dict of ``int`` numerators over one
-denominator.  Products (:func:`_multiply`, also behind powers and
+monomial one ``int``, whose integer order is graded lex, the one monomial
+order of the library, and a polynomial a dict of ``int`` numerators over
+one denominator.  Products (:func:`_multiply`, also behind powers and
 substitution), derivation application (:meth:`Derivation._apply`) and
 evaluation (:func:`_evaluate`) are written once, as kernels over that
 form, and renaming renumbers packed fields; ``Poly`` and ``Derivation``
@@ -27,29 +28,21 @@ from .errors import ArityMismatch, ContextMismatch, ResourceLimitExceeded
 
 
 class Context:
-    """Shared variable namespace.
+    """Shared variable namespace, fixed when it is made: variable id ``v``
+    names the ``v``-th of ``names`` (a repeated name counts once).
 
     Polynomials from different contexts never mix; this prevents silent
     variable aliasing when systems are merged (merging constructs a fresh
-    context explicitly).
+    context explicitly).  A caller that needs fresh names collects them
+    first and then makes the context, so a context's packing
+    (:func:`_packing`) never changes.
     """
 
     __slots__ = ("_names", "_ids")
 
     def __init__(self, names=()):
-        self._names = []
-        self._ids = {}
-        for name in names:
-            self.add(name)
-
-    def add(self, name: str) -> int:
-        """Intern ``name`` and return its variable id (idempotent)."""
-        if name in self._ids:
-            return self._ids[name]
-        vid = len(self._names)
-        self._names.append(name)
-        self._ids[name] = vid
-        return vid
+        self._names = tuple(dict.fromkeys(names))
+        self._ids = {name: vid for vid, name in enumerate(self._names)}
 
     def id_of(self, name: str) -> int:
         try:
@@ -68,7 +61,7 @@ class Context:
 
     @property
     def names(self):
-        return tuple(self._names)
+        return self._names
 
     # Convenience constructors -------------------------------------------
 
@@ -173,46 +166,23 @@ def _over_common_denominator(*tables):
 # Packed monomials ------------------------------------------------------------
 
 
-class MonomialOrder:
-    """A monomial order: graded-lex (default) or lex, both with variable
-    id 0 highest."""
-
-    __slots__ = ("kind",)
-
-    GRLEX = "grlex"
-    LEX = "lex"
-
-    def __init__(self, kind=GRLEX):
-        if kind not in (self.GRLEX, self.LEX):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
-
-
 # Bits per variable field; the top bit of each field is its guard.
 _FIELD = 32
 _MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
 
 
 class _Packing:
-    """Monomials over ``nvars`` variables as single ints, for one order.
+    """Monomials over ``nvars`` variables as single ints, in the one
+    monomial order of the library: graded lex, variable 0 highest.
 
     Variable ``v`` owns the ``_FIELD``-bit field at ``shifts[v]``, variable
-    0 highest, and under grlex the total degree sits above them all, so
-    comparing two packed ints compares the monomials in the order.  No
-    stored exponent sets the top (guard) bit of its field.  Hence the
-    product of two monomials is the sum of their ints, and that sum has
-    overflowed a field iff it sets a guard bit; ``h`` divides ``m`` iff
-    ``((m | guards) - h) & guards == guards``, since each field's guard
-    absorbs its own borrow.
+    0 highest, and the total degree sits above them all, so comparing two
+    packed ints compares the monomials in grlex, and :meth:`degree` reads
+    the degree field.  No stored exponent sets the top (guard) bit of its
+    field.  Hence the product of two monomials is the sum of their ints,
+    and that sum has overflowed a field iff it sets a guard bit; ``h``
+    divides ``m`` iff ``((m | guards) - h) & guards == guards``, since each
+    field's guard absorbs its own borrow.
 
     A polynomial in packed form is a dict from packed monomials to ``int``
     numerators over one denominator, kept next to it.
@@ -220,14 +190,13 @@ class _Packing:
 
     __slots__ = ("shifts", "top", "unit", "guards", "exps")
 
-    def __init__(self, graded: bool, nvars: int):
+    def __init__(self, nvars: int):
         self.shifts = tuple(_FIELD * (nvars - 1 - v) for v in range(nvars))
         ones = sum(1 << s for s in self.shifts)
         self.guards = ones << (_FIELD - 1)
         self.exps = self.guards - ones  # the exponent bits of every field
-        # the degree field sits above the variables; under lex its weight is 0
-        self.top = _FIELD * nvars
-        self.unit = 1 << self.top if graded else 0
+        self.top = _FIELD * nvars  # the degree field sits above the variables
+        self.unit = 1 << self.top
 
     def pack(self, m: Monomial) -> int:
         x = degree = 0
@@ -267,11 +236,8 @@ class _Packing:
         unpack = self.unpack
         return Poly(ctx, {unpack(m): Fraction(c, den) for m, c in packed.items()})
 
-    def _total(self, x: int) -> int:
-        return sum((x >> s) & _MAX_EXPONENT for s in self.shifts)
-
     def degree(self, x: int) -> int:
-        return x >> self.top if self.unit else self._total(x)
+        return x >> self.top
 
     def divides(self, h: int, m: int) -> bool:
         guards = self.guards
@@ -282,7 +248,7 @@ class _Packing:
         ge = ((a | guards) - b) & guards  # the guards of the fields where a >= b
         take = ge - (ge >> (_FIELD - 1))  # the exponent bits of those fields
         lcm = (a & take) | (b & (self.exps ^ take))
-        return lcm + self._total(lcm) * self.unit
+        return lcm + sum((lcm >> s) & _MAX_EXPONENT for s in self.shifts) * self.unit
 
     def check(self, packed: dict) -> dict:
         """``packed``, once no term of it sets a guard bit: a term that does
@@ -313,16 +279,13 @@ class _Packing:
 
 
 @lru_cache(maxsize=None)
-def _packing(order: MonomialOrder, nvars: int) -> _Packing:
-    return _Packing(order.kind == MonomialOrder.GRLEX, nvars)
-
-
-_GRLEX = MonomialOrder()
+def _packing(nvars: int) -> _Packing:
+    return _Packing(nvars)
 
 
 def _evaluate(packed: dict, den: int, at, packing: _Packing) -> Fraction:
-    """The value of the polynomial ``packed`` over ``den``, packed under
-    grlex by ``packing``, at the point ``at`` of :meth:`_Packing.point`.
+    """The value of the polynomial ``packed`` over ``den``, packed by
+    ``packing``, at the point ``at`` of :meth:`_Packing.point`.
 
     One pass over the terms, in integers: with the coordinates over one
     denominator ``q``, a term of degree k (its degree field) is an integer
@@ -447,7 +410,7 @@ class Poly:
                 return self.ctx.zero()
             return Poly(self.ctx, {m: c * k for m, k in self.terms.items()})
         self._check(other)
-        packing = _packing(_GRLEX, len(self.ctx))
+        packing = _packing(len(self.ctx))
         left, d1 = packing.pack_terms(self.terms)
         right, d2 = packing.pack_terms(other.terms)
         return packing.poly(self.ctx, _multiply(left, right, packing), d1 * d2)
@@ -479,7 +442,7 @@ class Poly:
     def eval(self, point) -> Fraction:
         """Evaluate at a point indexed by variable id (full arity), by the
         packed kernel :func:`_evaluate`."""
-        packing = _packing(_GRLEX, len(self.ctx))
+        packing = _packing(len(self.ctx))
         at = packing.point(point)
         packed, den = packing.pack_terms(self.terms)
         return _evaluate(packed, den, at, packing)
@@ -511,7 +474,7 @@ class Poly:
                 if factor not in powers:
                     v, e = factor
                     powers[factor] = images[v] ** e
-        packing = _packing(_GRLEX, len(target))
+        packing = _packing(len(target))
         pack = packing.pack
         scaled, q = _over_common_denominator(*(p.terms for p in powers.values()))
         powers = {f: {pack(m): c for m, c in t.items()} for f, t in zip(powers, scaled)}
@@ -533,7 +496,7 @@ class Poly:
         each variable id is renumbered to its target's, exponents of ids
         that meet add up, and the coefficients stay as they are.  The packed
         term is checked after each factor, so no sum carries out of a field."""
-        packing = _packing(_GRLEX, len(target))
+        packing = _packing(len(target))
         moved = {}
         for v in self.variables():
             name = self.ctx.name_of(v)
@@ -629,13 +592,12 @@ class Derivation:
     it satisfies linearity and the Leibniz rule exactly.
 
     ``_packed`` holds the nonzero images in the form :func:`_derive` runs
-    on, for one packing: ``(packing, images, d)``, where ``images`` lists
-    ``(shift of v, ((packed image term / v, int coefficient), ...))`` by
-    increasing variable id ``v`` and ``d`` is the images' common
-    denominator.  It is built at the first application and rebuilt only
-    when the context has grown since; a derivation that is built but never
-    applied (those of a closure's input systems are only read) does not pay
-    for it.
+    on, packed by the context's packing: ``(images, d)``, where ``images``
+    lists ``(shift of v, ((packed image term / v, int coefficient), ...))``
+    by increasing variable id ``v`` and ``d`` is the images' common
+    denominator.  It is built at the first application; a derivation that
+    is built but never applied (those of a closure's input systems are only
+    read) does not pay for it.
     """
 
     __slots__ = ("ctx", "images", "_packed")
@@ -661,14 +623,14 @@ class Derivation:
         """Apply the derivation: pack ``p``, run :meth:`_apply`, unpack."""
         if p.ctx is not self.ctx:
             raise ContextMismatch("derivation applied outside its context")
-        packing = _packing(_GRLEX, len(self.ctx))
+        packing = _packing(len(self.ctx))
         packed, den = self._apply(*packing.pack_terms(p.terms), packing)
         return packing.poly(self.ctx, packed, den)
 
     def _apply(self, packed: dict, den: int, packing: _Packing):
         """The derivation of the polynomial ``packed`` over ``den``, in
         the same form: :func:`_derive` with the packed images."""
-        return _derive(packed, den, *self._images(packing), packing)
+        return _derive(packed, den, *self._images(), packing)
 
     def _apply_at(self, packed: dict, den: int, packing: _Packing, at):
         """A polynomial with the value at ``at`` (of :meth:`_Packing.point`)
@@ -679,7 +641,7 @@ class Derivation:
         has at most one term per term of ``packed`` and variable, each an
         exponent lowered by one, so it never overflows.
         """
-        images, d = self._images(packing)
+        images, d = self._images()
         unit = packing.unit
         values = {
             s: _evaluate({off + (1 << s) + unit: c for off, c in image}, d, at, packing)
@@ -691,20 +653,16 @@ class Derivation:
         constants = [(s, ((-(1 << s) - unit, c),)) for s, c in scaled.items() if c]
         return _derive(packed, den, constants, dv, packing)
 
-    def _images(self, packing: _Packing):
-        """``(images, d)`` of ``_packed`` for ``packing``, packed afresh
-        when the cache holds another packing."""
-        cached = self._packed
-        if cached is None or cached[0] is not packing:
-            cached = self._packed = (packing, *self._pack_images(packing))
-        return cached[1:]
-
-    def _pack_images(self, packing: _Packing):
-        nonzero = {v: self.images[v].terms for v in sorted(self.images) if self.images[v].terms}
-        scaled, di = _over_common_denominator(*nonzero.values())
-        pack, shifts = packing.pack, packing.shifts
-        images = []
-        for v, terms in zip(nonzero, scaled):
-            unit = packing.var(v)
-            images.append((shifts[v], tuple((pack(m) - unit, c) for m, c in terms.items())))
-        return tuple(images), di
+    def _images(self):
+        """``_packed``, built at the first call."""
+        if self._packed is None:
+            packing = _packing(len(self.ctx))
+            nonzero = {v: p.terms for v, p in sorted(self.images.items()) if p.terms}
+            scaled, di = _over_common_denominator(*nonzero.values())
+            pack, shifts = packing.pack, packing.shifts
+            images = []
+            for v, terms in zip(nonzero, scaled):
+                unit = packing.var(v)
+                images.append((shifts[v], tuple((pack(m) - unit, c) for m, c in terms.items())))
+            self._packed = tuple(images), di
+        return self._packed

@@ -199,10 +199,7 @@ def _compile_into(e, scope: _Scope, env) -> Poly:
         if len(e.slots) != k:
             raise ArityMismatch("slot names and substitutions differ in number")
         subs = [compile_species(s, scope.dim, env) for s in e.subs]
-        outer_env = dict(env)
-        for i, nm in enumerate(e.slots, start=1):
-            outer_env[nm] = scope.dim + i
-        outer = compile_species(e.outer, scope.dim + k, outer_env)
+        outer = compile_species(e.outer, scope.dim + k, bind(env, e.slots, scope.dim))
         return scope.absorb(cdf.compose_strong(outer, subs))
     if isinstance(e, Fix):
         names = [nm for nm, _ in e.bindings]
@@ -215,13 +212,18 @@ def _compile_into(e, scope: _Scope, env) -> Poly:
     raise ArityMismatch(f"not a species expression: {e!r}")
 
 
+def bind(env, names, dim: int):
+    """``env`` with ``names`` bound, in order, to the sorts after the
+    first ``dim``: how a fixpoint block sees its binders and a strong
+    composition's outer expression its slots."""
+    return {**env, **{nm: dim + i for i, nm in enumerate(names, start=1)}}
+
+
 def _fix_bodies(fix: Fix, dim: int, env):
     """A scope over ``dim`` sorts plus one per binder, and the block's
     bodies compiled into it."""
     inner = _Scope(dim + len(fix.bindings))
-    inner_env = dict(env)
-    for i, (nm, _) in enumerate(fix.bindings, start=1):
-        inner_env[nm] = dim + i
+    inner_env = bind(env, [nm for nm, _ in fix.bindings], dim)
     return inner, [_compile_into(body, inner, inner_env) for _, body in fix.bindings]
 
 
@@ -232,13 +234,15 @@ def compile_species(e, dim: int, _env=None) -> cdf.CdfSeries:
     return cdf.prune(scope.series([expr])[0])
 
 
-def well_posed(fix: Fix, dim: int):
+def well_posed(fix: Fix, dim: int, env=None):
     """Diagnose the well-posedness of a fixpoint block without solving it.
 
-    Returns (ok, diagnostics); diagnostics name the violated condition.
+    ``env`` maps the names of enclosing binders and slots to their sorts,
+    as :func:`bind` made them.  Returns (ok, diagnostics); diagnostics
+    name the violated condition.
     """
     try:
-        inner, bodies = _fix_bodies(fix, dim, {})
+        inner, bodies = _fix_bodies(fix, dim, env or {})
     except NotWellPosed as exc:
         return False, [str(exc)]
     return cdf.check_well_posed(inner.series(bodies))

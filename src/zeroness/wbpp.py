@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from ._saturation import ZeroVerdict
 from ._system import System, adjoin, decide, fold, fold_value, inverse, union
-from .errors import ArityMismatch, NotStandardForm, NotWellPosed
+from .errors import ArityMismatch, NotStandardForm, NotWellPosed, ResourceLimitExceeded
+from .groebner import DEFAULT_LIMITS
 from .poly import Context, Derivation, Poly
 
 # The length up to which the bounded commutativity semi-check compares
@@ -151,12 +152,23 @@ def _ops(m: Wbpp, word) -> list:
     return [m.op(a) for a in m.parse_word(word)]
 
 
-def coeffs_up_to(m: Wbpp, config: Poly, length: int) -> dict:
+def coeffs_up_to(m: Wbpp, config: Poly, length: int, limits=None) -> dict:
     """All series coefficients for words of length <= ``length``.
 
     One breadth-first sweep shares the rewritten configuration of every
     common prefix.  Keys are words rendered as strings (letters joined).
+    Before the sweep, the number of words is compared with the
+    ``max_iterations`` cap of ``limits``: past it, nothing is enumerated,
+    and :class:`ResourceLimitExceeded` reports the words up to the first
+    length that passes the cap.
     """
+    cap = (limits or DEFAULT_LIMITS).max_iterations
+    words, of_length = 0, 1
+    for _ in range(length + 1):
+        words += of_length
+        if words > cap:
+            raise ResourceLimitExceeded("max_iterations", words, cap)
+        of_length *= len(m.alphabet)
     return {
         m.render_word(word): output_value(m, cfg)
         for level in _levels(m, config, length)

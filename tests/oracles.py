@@ -139,11 +139,11 @@ def mono_coprime(a, b):
     return not any(x and y for x, y in _dense_pair(a, b))
 
 
-def order_key(kind, m, nvars):
-    """The sort key of ``m`` over ``nvars`` variables under ``kind``,
-    ``'grlex'`` (degree, then exponents) or ``'lex'``, variable 0 highest."""
+def grlex_key(m, nvars):
+    """The graded-lex sort key of ``m`` over ``nvars`` variables: degree,
+    then exponents, variable 0 highest."""
     e = dense(m, nvars)
-    return (sum(e), e) if kind == "grlex" else e
+    return sum(e), e
 
 
 # Ideal membership by bounded Macaulay linear algebra ----------------------------

@@ -276,6 +276,54 @@ def test_check_flags_ill_posed():
     assert "not well posed" in out
 
 
+NESTED_FIX = """sorts 1
+species Nested {
+  fix { A = X1 + X1 * fix { B = X1 * A + X1 * B } in B } in A
+}
+"""
+
+
+def test_check_nested_fixpoint_sees_its_enclosing_binder(tmp_path):
+    # the inner block mentions A, which the outer block binds
+    path = tmp_path / "nested.spec"
+    path.write_text(NESTED_FIX)
+    code, out, err = run("check", str(path))
+    assert (code, err) == (0, "")
+    assert out == f"== {path}\n  species Nested: compiles (order 8)\n  OK\n"
+    code, out, _ = run("coeffs", str(path), "--max", "5")
+    assert code == 0
+    assert out == "x1 1\nx1^3 6\nx1^4 24\nx1^5 240\n"
+    # an ill-posed inner block is diagnosed, not reported as unbound
+    path.write_text(NESTED_FIX.replace("X1 * B", "B"))
+    code, out, err = run("check", str(path))
+    assert (code, err) == (3, "")
+    assert "not well posed: Jacobian at the origin is not nilpotent" in out
+
+
+def test_coeffs_word_count_is_capped():
+    # 2 letters: 2^(N+1) - 1 words up to length N, 511 for N = 8
+    coeffs8 = ("coeffs", model("running.wbpp"), "--max", "8")
+    code, out, _ = run(*coeffs8)
+    assert code == 0
+    assert out == (
+        "ab 1\naabb 2\naaabbb 12\naababb 4\naaaabbbb 144\naaababbb 72\n"
+        "aaabbabb 24\naabaabbb 24\naabababb 8\n"
+    )
+    assert run("--timeout-iterations", "511", *coeffs8) == (code, out, "")
+    code, out, err = run("--timeout-iterations", "510", *coeffs8)
+    assert (code, out) == (4, "")
+    assert err == (
+        "INCONCLUSIVE_RESOURCE_LIMIT (resource cap 'max_iterations' exceeded: 511 > 510)\n"
+    )
+    # at the default cap, 200000, length 17 is the first refused
+    start = time.perf_counter()
+    code, out, err = run("coeffs", model("running.wbpp"), "--max", "40")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err.startswith("INCONCLUSIVE_RESOURCE_LIMIT (resource cap 'max_iterations'")
+    assert run("coeffs", model("running.wbpp"), "--max", "17")[:2] == (4, "")
+
+
 def test_check_jobs():
     code, out, _ = run(
         "check", "--jobs", "2", model("running.wbpp"), model("sin.cdf")

@@ -156,21 +156,6 @@ def test_process_fold_matches_fraction_reference(case, word):
         assert type(c) is Fraction and c != 0
 
 
-def test_derivation_after_its_context_grows():
-    ctx = Context(["x"])
-    x = ctx.var("x")
-    d = Derivation(ctx, {0: x**2 + 1})
-    assert d(x**3) == 3 * x**4 + 3 * x**2
-    assert _system.fold_value(x, [d, d], [2]) == 20  # d(d(x)) = 2x^3 + 2x
-    y = ctx.var_by_id(ctx.add("y"))
-    # the images were packed for one variable; now the terms have two
-    assert d(x**3 * y) == (3 * x**4 + 3 * x**2) * y
-    assert d(y).is_zero()
-    assert _system.fold_value(x * y, [d, d], [2, 3]) == 60  # 2x(x^2 + 1)y
-    e = Derivation(ctx, {1: x})
-    assert _system.fold_value(y**2, [e, d], [2, 3]) == 30  # d(2xy) = 2(x^2 + 1)y
-
-
 @given(systems(len(LETTERS)), st.lists(st.integers(0, len(LETTERS) - 1), max_size=4))
 @example((2, [{0: {(0, 1): 1}}, {}], [Fraction(1, 3), 0], {(1, 1): 1}), [0, 1])  # no images
 @settings(max_examples=150, deadline=None)

@@ -12,14 +12,9 @@ import json
 import os
 import random
 
-import pytest
-
 from test_cdf import _random_solvable_system
 from test_metamorphic import LIMITS
 from zeroness import cdf as C
-from zeroness.errors import ResourceLimitExceeded
-from zeroness.groebner import GroebnerLimits, MonomialOrder, buchberger
-from zeroness.poly import Context
 
 with open(os.path.join(os.path.dirname(__file__), "verdict_pins.json")) as fh:
     PINS = json.load(fh)
@@ -46,20 +41,3 @@ def test_verdicts_of_the_closure_identities_are_pinned():
         ]
     assert [repr(v) for v in got] == PINS["commutativity_and_linearity_of_closure_ops"]
 
-
-def test_lex_cyclic4_step_count_is_pinned():
-    # as test_cyclic4_step_count_is_pinned, under lex
-    pin = PINS["lex_cyclic4"]
-    ctx = Context(["a", "b", "c", "d"])
-    a, b, c, d = (ctx.var(n) for n in "abcd")
-    cyclic4 = [
-        a + b + c + d,
-        a * b + b * c + c * d + d * a,
-        a * b * c + b * c * d + c * d * a + d * a * b,
-        a * b * c * d - 1,
-    ]
-    lex = MonomialOrder("lex")
-    gb = buchberger(cyclic4, lex, GroebnerLimits(max_iterations=pin["steps"]))
-    assert [str(g) for g in gb] == pin["basis"]
-    with pytest.raises(ResourceLimitExceeded):
-        buchberger(cyclic4, lex, GroebnerLimits(max_iterations=pin["steps"] - 1))

@@ -7,7 +7,7 @@ import pytest
 from oracles import shuffle_coefficient
 from zeroness import wbpp as W
 from zeroness._saturation import Outcome
-from zeroness.errors import ArityMismatch, NotStandardForm, NotWellPosed
+from zeroness.errors import ArityMismatch, NotStandardForm, NotWellPosed, ResourceLimitExceeded
 from zeroness.groebner import GroebnerLimits
 from zeroness.poly import Context
 
@@ -96,6 +96,26 @@ def test_coeffs_up_to_golden():
     assert len(table) == 31
     nonzero = {w: v for w, v in table.items() if v != 0}
     assert nonzero == RUNNING_GOLDEN
+
+
+def test_coeffs_up_to_caps_the_word_count():
+    # 31 words up to length 4 on two letters; 1 + n on one letter
+    m = running_example()
+    assert len(W.coeffs_up_to(m, m.start, 4, GroebnerLimits(max_iterations=31))) == 31
+    with pytest.raises(ResourceLimitExceeded) as refused:
+        W.coeffs_up_to(m, m.start, 4, GroebnerLimits(max_iterations=30))
+    assert (refused.value.cap, refused.value.value, refused.value.limit) == (
+        "max_iterations", 31, 30
+    )
+    with pytest.raises(ResourceLimitExceeded):
+        W.coeffs_up_to(m, m.start, 0, GroebnerLimits(max_iterations=0))
+    ctx = Context(["S"])
+    one_letter = W.Wbpp(["a"], ["S"], "S", {("a", "S"): ctx.var("S")}, {"S": 1})
+    ten = GroebnerLimits(max_iterations=10)
+    assert len(W.coeffs_up_to(one_letter, one_letter.start, 9, ten)) == 10
+    with pytest.raises(ResourceLimitExceeded) as refused:
+        W.coeffs_up_to(one_letter, one_letter.start, 10**12)
+    assert refused.value.value == refused.value.limit + 1 == 200_001
 
 
 def test_coeffs_zero_model():
