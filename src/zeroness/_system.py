@@ -165,18 +165,18 @@ def fold(start: Poly, word):
 
 
 def fold_value(start: Poly, word, point) -> Fraction:
-    """The value at ``point`` of :func:`fold`'s polynomial, evaluated
-    packed.  Every letter but the last is folded; the last acts through
-    its images' values at the point (:meth:`Derivation._apply_at`), so its
-    polynomial, the largest, is never built, and an exponent cap fires
-    only in the folds that are."""
+    """The value at ``point`` of :func:`fold`'s polynomial.  Every letter
+    but the last is folded; the last is evaluated in one pass at the dual
+    point a + ε·w, w its images' values at the point
+    (:meth:`Derivation._apply_at`), so its polynomial, the largest, is
+    never built, and an exponent cap fires only in the folds that are."""
     word = list(word)
     packing, packed, den = fold(start, word[:-1])
     at = packing.point(point)
-    if word:
-        _check_context(word[-1], start)
-        packed, den = word[-1]._apply_at(packed, den, packing, at)
-    return _evaluate(packed, den, at, packing)
+    if not word:
+        return _evaluate(packed, den, at, packing)
+    _check_context(word[-1], start)
+    return word[-1]._apply_at(packed, den, packing, at)
 
 
 def _check_context(op: Derivation, start: Poly):

@@ -194,9 +194,10 @@ def coeff_via_lie(s: CdfSeries, n) -> Fraction:
     """Coefficient extraction by the exchange rule: fold one Lie derivative
     per unit of each exponent, then evaluate at the initial vector, packed
     throughout (:func:`_system.fold_value`).  The last derivative is not
-    folded: it is evaluated through its images' values at the initial
-    vector, so an exponent cap fires only in the folds before it.  Any
-    word with the right Parikh image works; axes are folded in order.
+    folded: it is evaluated in one pass at the dual point a + ε·w, a the
+    initial vector and w its images' values there, so an exponent cap
+    fires only in the folds before it.  Any word with the right Parikh
+    image works; axes are folded in order.
     Every exponent must be nonnegative."""
     n = tuple(n)
     if len(n) != s.dim:

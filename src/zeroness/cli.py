@@ -22,6 +22,7 @@ from .errors import (
     ResourceLimitExceeded,
 )
 from .groebner import GroebnerLimits
+from .poly import format_value
 
 EXIT_MATCH = 0
 EXIT_DIFFER = 1
@@ -66,7 +67,7 @@ def _print_verdict(verdict, kind, base_names=None, stats=False, equivalence=Fals
             witness = verdict.witness if verdict.witness else "eps"
         else:
             witness = _monomial_str(verdict.witness, base_names)
-        print(f"{word} (witness {witness}, value {verdict.value})")
+        print(f"{word} (witness {witness}, value {format_value(verdict.value)})")
         code = EXIT_DIFFER
     else:
         print(f"INCONCLUSIVE_RESOURCE_LIMIT ({verdict.detail})")
@@ -129,7 +130,7 @@ def cmd_eval(args):
     if kind != "wbpp":
         raise ParseError("eval works on .wbpp files; use coeffs for series")
     value = wbpp.evaluate(payload, payload.start, args.word)
-    print(value)
+    print(format_value(value))
     return EXIT_MATCH
 
 
@@ -140,13 +141,13 @@ def cmd_coeffs(args):
         for word in sorted(table, key=lambda w: (len(w), w)):
             value = table[word]
             if value != 0:
-                print(f"{word or 'eps'} {value}")
+                print(f"{word or 'eps'} {format_value(value)}")
         return EXIT_MATCH
     series = _as_cdf(kind, payload)
     table = cdf.coeff_table(series, args.max)
     names = series.system.base_names
     for n in sorted(table.coeffs, key=lambda n: (sum(n), n)):
-        print(f"{_monomial_str(n, names)} {table.coeffs[n]}")
+        print(f"{_monomial_str(n, names)} {format_value(table.coeffs[n])}")
     return EXIT_MATCH
 
 
@@ -227,18 +228,22 @@ def _check_one(path):
 def _species_check(expr, sorts):
     """Collect well-posedness diagnostics from every fixpoint block, each
     checked with the binders and slots that enclose it, as compilation
-    binds them."""
+    binds them.  The blocks nested in a block are checked first; a block
+    is checked only once they are well posed, since checking it compiles
+    its bodies, which solves them, so it would repeat their diagnostic."""
     problems = []
 
     def walk(e, dim, env):
         if isinstance(e, species.Fix):
-            ok, diag = species.well_posed(e, dim, env)
-            if not ok:
-                problems.extend(diag)
+            nested = len(problems)
             names = [nm for nm, _ in e.bindings]
             inner = species.bind(env, names, dim)
             for _, body in e.bindings:
                 walk(body, dim + len(names), inner)
+            if len(problems) == nested:
+                ok, diag = species.well_posed(e, dim, env)
+                if not ok:
+                    problems.extend(diag)
         elif isinstance(e, (species.Sum, species.Prod)):
             walk(e.left, dim, env)
             walk(e.right, dim, env)

@@ -13,6 +13,7 @@ structurally identical model.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from . import cdf, constraints, species
@@ -103,7 +104,18 @@ def _integer(ts, what):
     tok = ts.next()
     if not tok.isdigit():
         ts.fail(f"{what} must be a number, got {tok!r}")
-    return int(tok)
+    return _digits(ts, tok)
+
+
+def _digits(ts, digits):
+    """The integer of the decimal ``digits`` just read.  The interpreter's
+    limit on the digits it converts (``PYTHONINTMAXSTRDIGITS``) guards the
+    parser: a longer literal is a parse error on its line."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        ts.fail(f"a literal of {len(digits)} digits exceeds the limit of {limit} digits")
 
 
 # Expressions ------------------------------------------------------------------------
@@ -188,7 +200,7 @@ def _expr_primary(ts, ctx, system):
         ts.expect(")")
         return cdf.restrict_regular(inner, constraint)
     if tok.isdigit():
-        num = int(tok)
+        num = _digits(ts, tok)
         if ts.peek() == "/":
             ts.next()
             den = _integer(ts, "denominator")
@@ -252,7 +264,7 @@ def _constraint_atom(ts):
     m = re.fullmatch(r"z(\d+)", tok)
     if not m:
         ts.fail(f"constraint atoms use z1, z2, ...; got {tok!r}")
-    axis = int(m.group(1))
+    axis = _digits(ts, m.group(1))
     op = ts.next()
     if op == "%":
         modulus = _integer(ts, "modulus")
@@ -630,7 +642,7 @@ def _species_primary(ts):
         return species.Fix(tuple(bindings), select)
     m = _ATOM_NAME.fullmatch(tok)
     if m:
-        return species.Atom(int(m.group(1)))
+        return species.Atom(_digits(ts, m.group(1)))
     if _IDENT.fullmatch(tok) and tok not in _KEYWORDS:
         return species.Ref(tok)
     ts.fail(f"unexpected token {tok!r}")

@@ -10,11 +10,12 @@ runs on the packed form this module owns (see :class:`_Packing`): each
 monomial one ``int``, whose integer order is graded lex, the one monomial
 order of the library, and a polynomial a dict of ``int`` numerators over
 one denominator.  Products (:func:`_multiply`, also behind powers and
-substitution), derivation application (:meth:`Derivation._apply`) and
-evaluation (:func:`_evaluate`) are written once, as kernels over that
-form, and renaming renumbers packed fields; ``Poly`` and ``Derivation``
-pack, run the kernel and unpack, and the Groebner layer packs with the
-same class.  An exponent that does not fit its field raises
+substitution), derivation application (:meth:`Derivation._apply`),
+evaluation (:func:`_evaluate`) and evaluation at a dual point
+(:func:`_evaluate_dual`) are written once, as kernels over that form,
+and renaming renumbers packed fields; ``Poly`` and ``Derivation`` pack,
+run the kernel and unpack, and the Groebner layer packs with the same
+class.  An exponent that does not fit its field raises
 :class:`ResourceLimitExceeded` with cap ``'exponent'``.
 """
 
@@ -322,6 +323,59 @@ def _evaluate(packed: dict, den: int, at, packing: _Packing) -> Fraction:
     return Fraction(total, den * q**top)
 
 
+def _evaluate_dual(packed: dict, den: int, at, slopes, packing: _Packing) -> Fraction:
+    """The ε part of the polynomial ``packed`` over ``den``, packed by
+    ``packing``, at the dual point a + ε·w over Z[ε]/(ε²): the derivative
+    of p along w at a, sum over v of w_v * (dp/dv)(a).
+
+    ``at = (coords, q)`` is a, as :meth:`_Packing.point` gives it, and
+    ``slopes = (dw, dv)`` lists the numerators of w over one denominator
+    ``dv`` in the same field order.  As in :func:`_evaluate`, one pass over the terms in
+    integers: each (field, exponent) power is cached once as the pair
+    (c^e, e * c^(e-1) * n) of coordinate c and slope n, and each term walks
+    only its nonzero exponent fields carrying a (value, ε) pair, so a
+    degree-k term's ε part is an integer over ``den * dv * q**(k-1)``.  A
+    term is dropped once both parts are 0.
+    """
+    coords, q = at
+    dw, dv = slopes
+    top = packing.top
+    low = (1 << top) - 1
+    mask = -_FIELD
+    powers = {}
+    by_degree = {}
+    for m, val in packed.items():
+        x = m & low
+        eps = 0
+        while x:
+            s = (x.bit_length() - 1) & mask
+            e = x >> s
+            key = e << s
+            x -= key
+            pair = powers.get(key)
+            if pair is None:
+                c, n = coords[s // _FIELD], dw[s // _FIELD]
+                pair = powers[key] = (c**e, e * c ** (e - 1) * n)
+            p, dp = pair
+            if p:
+                eps = eps * p + val * dp
+                val *= p
+            elif dp and val:
+                eps = val * dp
+                val = 0
+            else:
+                break
+        else:
+            if eps:
+                k = m >> top
+                by_degree[k] = by_degree.get(k, 0) + eps
+    if not by_degree:
+        return Fraction(0)
+    top = max(by_degree)
+    total = sum(part * q ** (top - k) for k, part in by_degree.items())
+    return Fraction(total, den * dv * q ** (top - 1))
+
+
 def _multiply(left: dict, right: dict, packing: _Packing) -> dict:
     """The product of the numerators ``left`` and ``right`` of two
     polynomials packed by ``packing``, in the same form.
@@ -533,6 +587,27 @@ def _grlex(m: Monomial):
     return m.degree, tuple((-v, e) for v, e in m.exps)
 
 
+def format_value(c) -> str:
+    """The rational ``c`` as ``str`` writes it (``p/q``, or ``p`` for an
+    integer), in full at any size: the interpreter's limit on the digits
+    it converts at once (``PYTHONINTMAXSTRDIGITS``) guards parsing only."""
+    if c.denominator == 1:
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    # below 2^1900 < 10^572, fewer digits than the smallest limit (640);
+    # above, split at about half the digits
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 1900:
+        return str(n)
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_poly(p: Poly) -> str:
     """Canonical rendering: graded-lex descending terms, ``p/q`` coefficients."""
     if not p.terms:
@@ -547,11 +622,11 @@ def format_poly(p: Poly) -> str:
         body = "*".join(factors)
         mag = abs(c)
         if not body:
-            chunk = str(mag)
+            chunk = format_value(mag)
         elif mag == 1:
             chunk = body
         else:
-            chunk = f"{mag}*{body}"
+            chunk = f"{format_value(mag)}*{body}"
         if not parts:
             parts.append(chunk if c > 0 else f"-{chunk}")
         else:
@@ -632,26 +707,24 @@ class Derivation:
         the same form: :func:`_derive` with the packed images."""
         return _derive(packed, den, *self._images(), packing)
 
-    def _apply_at(self, packed: dict, den: int, packing: _Packing, at):
-        """A polynomial with the value at ``at`` (of :meth:`_Packing.point`)
-        that :meth:`_apply`'s has, in the same form.
+    def _apply_at(self, packed: dict, den: int, packing: _Packing, at) -> Fraction:
+        """The value at ``at`` (of :meth:`_Packing.point`) of
+        :meth:`_apply`'s polynomial, which is never built.
 
-        By the chain rule, (D p)(a) = sum over v of (D v)(a) * (dp/dv)(a),
-        so each image is replaced by its value at the point: the result
-        has at most one term per term of ``packed`` and variable, each an
-        exponent lowered by one, so it never overflows.
+        (D p)(a) is the ε part of p(a + ε·w), where w_v = (D v)(a), so the
+        images are evaluated at the point once and :func:`_evaluate_dual`
+        makes one pass over ``packed``; no exponent is raised, so it never
+        overflows.
         """
         images, d = self._images()
         unit = packing.unit
         values = {
-            s: _evaluate({off + (1 << s) + unit: c for off, c in image}, d, at, packing)
+            s // _FIELD: _evaluate({off + (1 << s) + unit: c for off, c in image}, d, at, packing)
             for s, image in images
         }
         (scaled,), dv = _over_common_denominator(values)
-        # a list: a tuple built from a generator is resized, and once freed
-        # it stays on the interpreter's tuple free list, one per call
-        constants = [(s, ((-(1 << s) - unit, c),)) for s, c in scaled.items() if c]
-        return _derive(packed, den, constants, dv, packing)
+        dw = [scaled.get(field, 0) for field in range(len(packing.shifts))]
+        return _evaluate_dual(packed, den, at, (dw, dv), packing)
 
     def _images(self):
         """``_packed``, built at the first call."""

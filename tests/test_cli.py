@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import sys
 import time
@@ -50,6 +51,63 @@ def test_eval_running():
     code, out, _ = run("eval", model("running.wbpp"), "--word", "aabb")
     assert code == 0
     assert out == "2\n"
+
+
+def digits_value(text):
+    """The integer of the decimal ``text``, read 500 digits at a time, so
+    that no conversion reaches the interpreter's limit."""
+    n = 0
+    for i in range(0, len(text), 500):
+        chunk = text[i : i + 500]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def test_values_of_any_size_print_in_full(tmp_path, digit_limit):
+    # a^n b^n takes S to X^n, with (n-1)!, then to 1, with n!
+    word = "a" * 1000 + "b" * 1000
+    code, out, err = run("eval", model("running.wbpp"), "--word", word)
+    assert (code, err) == (0, "")
+    assert len(out) - 1 > digit_limit
+    assert digits_value(out[:-1]) == math.factorial(999) * math.factorial(1000)
+    # an output weight of 7^8192, 6923 digits, under zero, coeffs and equiv
+    big = tmp_path / "big.wbpp"
+    big.write_text(WBPP_HEAD + "output S = ((7^64)^64)^2\ndelta a S = 0\n")
+    nil = tmp_path / "nil.wbpp"
+    nil.write_text(WBPP_HEAD + "output S = 0\ndelta a S = 0\n")
+    for argv, want, head in (
+        (("zero", str(big)), 1, "NONZERO (witness eps, value "),
+        (("equiv", str(big), str(nil)), 1, "DIFFER (witness eps, value "),
+        (("coeffs", str(big), "--max", "2"), 0, "eps "),
+    ):
+        code, out, err = run(*argv)
+        assert (code, err) == (want, "")
+        assert out.startswith(head) and out.endswith("\n")
+        assert digits_value(out[len(head) :].rstrip(")\n")) == 7**8192
+    # a series coefficient over a denominator
+    series = tmp_path / "big.cdf"
+    series.write_text("vars x1\ngens s\ninit s = (((1/7)^64)^64)^2\nd/dx1 s = s\nexpr = s\n")
+    code, out, err = run("coeffs", str(series), "--max", "0")
+    assert (code, err) == (0, "")
+    num, den = out[len("1 ") : -1].split("/")
+    assert (num, digits_value(den)) == ("1", 7**8192)
+
+
+def test_oversized_literal_is_a_parse_error(tmp_path, digit_limit):
+    bad = tmp_path / "literal.wbpp"
+    bad.write_text(WBPP_HEAD + "output S = " + "7" * (digit_limit + 1) + "\n")
+    for argv in (("eval", str(bad), "--word", "a"), ("zero", str(bad)), ("check", str(bad))):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line 4: a literal of {digit_limit + 1} digits exceeds "
+            f"the limit of {digit_limit} digits\n"
+        )
+    # a literal at the limit is read
+    bad.write_text(WBPP_HEAD + "output S = " + "7" * digit_limit + "\ndelta a S = 0\n")
+    code, out, err = run("coeffs", str(bad), "--max", "0")
+    assert (code, err) == (0, "")
+    assert out == "eps " + "7" * digit_limit + "\n"
 
 
 def test_eval_zero_value():
@@ -298,6 +356,23 @@ def test_check_nested_fixpoint_sees_its_enclosing_binder(tmp_path):
     code, out, err = run("check", str(path))
     assert (code, err) == (3, "")
     assert "not well posed: Jacobian at the origin is not nilpotent" in out
+
+
+def test_check_reports_a_nested_block_once(tmp_path):
+    # the inner block is ill posed; the outer one, whose check would solve
+    # it, adds nothing
+    path = tmp_path / "nested.spec"
+    path.write_text(
+        "sorts 1\nspecies N {\n"
+        "  fix { A = X1 + X1 * fix { B = X1 * A + B } in B } in A\n}\n"
+    )
+    code, out, err = run("check", str(path))
+    assert (code, err) == (3, "")
+    assert out.splitlines() == [
+        f"== {path}",
+        "  not well posed: Jacobian at the origin is not nilpotent",
+        "  FAIL",
+    ]
 
 
 def test_coeffs_word_count_is_capped():

@@ -1,8 +1,8 @@
 """Words of derivations run packed: ``delta_word`` folds one packed
 kernel per letter, and ``coeff_via_lie`` and ``wbpp.evaluate`` fold every
-letter but the last, then evaluate the last through its images' values at
-the point (the chain rule), so an exponent cap fires only in a fold that is
-built.  Each must give what the plain-Fraction reference below gives: apply
+letter but the last, then evaluate the last in one pass at the dual point
+a + ε·w, w its images' values at the point, so an exponent cap fires only
+in a fold that is built.  Each must give what the plain-Fraction reference below gives: apply
 the derivation letter by letter to dense exponent tuples, then evaluate."""
 
 import io
@@ -158,10 +158,37 @@ def test_process_fold_matches_fraction_reference(case, word):
 
 @given(systems(len(LETTERS)), st.lists(st.integers(0, len(LETTERS) - 1), max_size=4))
 @example((2, [{0: {(0, 1): 1}}, {}], [Fraction(1, 3), 0], {(1, 1): 1}), [0, 1])  # no images
+# a point over a denominator (q = 15) under terms of degree 3 and 4
+@example(
+    (2, ROTATION + [{}], [Fraction(1, 3), Fraction(2, 5)], {(2, 1): 1, (1, 3): Fraction(1, 7)}),
+    [0],
+)
+# image values over a denominator (dv = 35), after a built fold
+@example(
+    (2, [{0: {(0, 0): Fraction(1, 5)}, 1: {(1, 0): Fraction(2, 7)}}, {1: {(0, 1): 1}}],
+     [3, Fraction(1, 2)], {(1, 1): 1, (2, 0): 3}),
+    [1, 0],
+)
+# x = 0 under exponent 1 keeps the x z term's ε part; y = 0 under exponent 2
+# drops the x y^2 and y^2 z terms
+@example(
+    (3, [{0: {(0, 0, 1): 1}, 1: {(0, 0, 0): 2}, 2: {(1, 0, 0): 1}}, {}], [0, 0, 2],
+     {(1, 2, 0): 1, (1, 0, 1): 2, (0, 2, 1): 3}),
+    [0],
+)
+# terms of degree 0 to 3 in one polynomial
+@example(
+    (2, [{0: {(0, 1): 2}, 1: {(0, 0): -1}}, {}], [2, Fraction(1, 3)],
+     {(0, 0): 5, (1, 0): 1, (1, 1): 2, (2, 1): Fraction(1, 3)}),
+    [0],
+)
+# ε parts that cancel to 0: x^2 + y^2 is invariant, and x - 2y vanishes at (2, 1)
+@example((2, ROTATION + [{}], [Fraction(3, 5), Fraction(4, 5)], {(2, 0): 1, (0, 2): 1}), [0])
+@example((2, [{0: {(1, 0): 1}, 1: {(0, 1): 2}}, {}], [2, 1], {(1, 0): 1, (0, 1): -1}), [0])
 @settings(max_examples=150, deadline=None)
 def test_fold_value_is_the_value_of_the_fold(case, letters):
-    # the full fold, evaluated packed, is what fold_value computed before
-    # it evaluated the last letter at the point
+    # the full fold, evaluated packed, is what fold_value computes with its
+    # last letter evaluated in one pass at the dual point
     nvars, images, point, start = case
     ctx = Context(GENERATORS[:nvars])
     ops = [Derivation(ctx, {v: to_poly(ctx, p) for v, p in op.items()}) for op in images]

@@ -313,6 +313,43 @@ def test_spec_parse_errors_name_the_line(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (F.parse_wbpp, "alphabet a\nnonterminals S\nstart S\noutput S = {}\n", 4),
+        (F.parse_wbpp, "alphabet a\nnonterminals S\nstart S\ndelta a S = 1/{} * S\n", 4),
+        (F.parse_wbpp, "alphabet a\nnonterminals S\nstart S\ndelta a S = S^{}\n", 4),
+        (F.parse_cdf, "vars x1\ngens s\ninit s = 0\n\nexpr = restrict(s; z1 >= {})\n", 5),
+        (F.parse_cdf, "vars x1\ngens s\ninit s = 0\nexpr = restrict(s; z{} == 0)\n", 4),
+        (F.parse_spec, "sorts 1\nspecies S {{\n  X1 +\n  X{}\n}}\n", 4),
+        (F.parse_spec, "species S {{\n  restrict(SET(X1); z1 % {} == 0)\n}}\n", 2),
+    ],
+    ids=["output", "denominator", "exponent", "bound", "axis", "atom", "modulus"],
+)
+def test_oversized_literal_is_a_parse_error_on_its_line(parse, text, line, digit_limit):
+    # the interpreter's limit on converted digits guards every literal
+    digits = "7" * (digit_limit + 1)
+    with pytest.raises(ParseError) as exc:
+        parse(text.format(digits))
+    assert str(exc.value) == (
+        f"line {line}: a literal of {digit_limit + 1} digits exceeds "
+        f"the limit of {digit_limit} digits"
+    )
+    assert exc.value.line == line
+
+
+def test_coefficients_of_any_size_print_in_full(ctx, digit_limit):
+    # 7^8192 has 6923 digits; each piece is read below the limit
+    x = ctx.var("x")
+    head, _, tail = str(Fraction(-(7**8192), 3) * x + 1).partition("/")
+    assert head[0] == "-" and tail == "3*x + 1"
+    value = 0
+    for i in range(1, len(head), digit_limit):
+        piece = head[i : i + digit_limit]
+        value = value * 10 ** len(piece) + int(piece)
+    assert value == 7**8192
+
+
 def test_load_model_dispatch(tmp_path):
     p = tmp_path / "m.wbpp"
     p.write_text("alphabet a\nnonterminals S\nstart S\noutput S = 1\n")
