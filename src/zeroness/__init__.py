@@ -3,13 +3,12 @@ basic parallel processes, CDF power series, and constructible species."""
 
 from ._saturation import Outcome, SaturationStats, ZeroVerdict
 from .groebner import GroebnerLimits
-from .poly import Context, Derivation, Monomial, Poly
+from .poly import Context, Derivation, Poly
 
 __all__ = [
     "Context",
     "Derivation",
     "GroebnerLimits",
-    "Monomial",
     "Outcome",
     "Poly",
     "SaturationStats",

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ResourceLimitExceeded
 from .groebner import DEFAULT_LIMITS, buchberger, extend
-from .poly import _evaluate, _packing
+from .poly import _evaluate, _over_common_denominator, _packing
 
 
 class Outcome(Enum):
@@ -73,9 +73,10 @@ def saturate(start, ops, point, limits=None) -> ZeroVerdict:
 
     ``ops`` is the ordered family of derivations (the BFS tries them in
     this order, so witnesses are shortest and lexicographically least).
-    Every polynomial of the search stays packed by its context's packing,
-    from the start through each derivation and evaluation to ``extend``;
-    the degree cap reads the degree field.
+    Every polynomial of the search is kept as the ``int`` numerators of
+    its packed terms over one denominator, from the start through each
+    derivation and evaluation to ``extend``; the degree cap reads the
+    degree field.
     """
     limits = limits or DEFAULT_LIMITS
     packing = _packing(len(start.ctx))
@@ -87,14 +88,14 @@ def saturate(start, ops, point, limits=None) -> ZeroVerdict:
 
     chain, basis = 0, ()  # what an inconclusive verdict reports if a cap fires first
     try:
-        beta = packing.pack_terms(start.terms)
-        value = _evaluate(*beta, at, packing)
+        (packed,), den = _over_common_denominator(start.terms)
+        value = _evaluate(packed, den, at, packing)
         if value != 0:
             return ZeroVerdict(Outcome.NONZERO, (), value, stats(0, 0))
         if start.is_zero():
             return ZeroVerdict(Outcome.ZERO, stats=stats(0, 0))
         basis = buchberger([start], limits)
-        frontier = deque([(beta, ())])
+        frontier = deque([((packed, den), ())])
         while frontier:
             beta, word = frontier.popleft()
             for i, op in enumerate(ops):

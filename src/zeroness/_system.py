@@ -8,10 +8,12 @@ inverse, prune, fresh names, the packed fold of a word of ops and the
 decision are written here once.  The species compiler grows its system
 with the same :func:`adjoin` and :func:`union`.
 
-Polynomials move between contexts by variable id (kept, shifted, or
-renumbered increasingly), never by name.  That keeps the generators'
-relative order, so the monomial order and every Groebner step stay the
-same.
+Polynomials move between contexts by variable id, never by name: each
+generator is kept, shifted or renumbered increasingly by
+:func:`~zeroness.poly.transport`, the packed renumbering that
+:meth:`~zeroness.poly.Poly.rename` also runs.  That keeps the
+generators' relative order, so the monomial order and every Groebner
+step stay the same.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from fractions import Fraction
 
 from ._saturation import saturate
 from .errors import ArityMismatch, ContextMismatch
-from .poly import Context, Derivation, Monomial, Poly, _evaluate, _packing
+from .poly import (
+    Context,
+    Derivation,
+    Poly,
+    _evaluate,
+    _over_common_denominator,
+    _packing,
+    transport,
+)
 
 
 class System:
@@ -33,21 +43,6 @@ class System:
         self.ctx = ctx
         self.ops = tuple(ops)
         self.point = tuple(point)
-
-
-def transport(p: Poly, target: Context, ids=None) -> Poly:
-    """``p`` in ``target``, variable ``v`` renumbered to ``ids[v]`` (kept
-    when ``ids`` is None).  ``ids`` increases with ``v``, so exponent
-    tuples stay sorted; a range is an offset."""
-    if ids is None:
-        return Poly(target, p.terms)
-    return Poly(
-        target,
-        {
-            Monomial._from_sorted(tuple((ids[v], e) for v, e in m.exps)): c
-            for m, c in p.terms.items()
-        },
-    )
 
 
 def fresh(stem: str, taken) -> str:
@@ -140,11 +135,14 @@ def prune(system: System, exprs):
     if len(needed) == len(system.ctx):
         return system, list(exprs)
     keep = sorted(needed)
-    ids = {v: i for i, v in enumerate(keep)}
+    ids = [None] * len(system.ctx)
+    for i, v in enumerate(keep):
+        ids[v] = i
+    ids = tuple(ids)
     ctx = Context([system.ctx.name_of(v) for v in keep])
     ops = [
         Derivation(
-            ctx, {ids[v]: transport(p, ctx, ids) for v, p in op.images.items() if v in ids}
+            ctx, {ids[v]: transport(p, ctx, ids) for v, p in op.images.items() if v in needed}
         )
         for op in system.ops
     ]
@@ -154,10 +152,10 @@ def prune(system: System, exprs):
 
 def fold(start: Poly, word):
     """``start`` with the ops of ``word`` applied in turn, first letter
-    first, as ``(packing, packed, den)``: packed once by the context's
-    packing, each op run by its packed kernel, nothing unpacked in between."""
+    first, as ``(packing, packed, den)``: the numerators of ``start`` over
+    one denominator, each op run by its packed kernel on them."""
     packing = _packing(len(start.ctx))
-    packed, den = packing.pack_terms(start.terms)
+    (packed,), den = _over_common_denominator(start.terms)
     for op in word:
         _check_context(op, start)
         packed, den = op._apply(packed, den, packing)

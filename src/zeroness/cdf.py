@@ -21,6 +21,7 @@ axes for its ops (the Lie derivatives) and exponent vectors for witnesses.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from . import _system
 from ._saturation import ZeroVerdict
@@ -30,7 +31,9 @@ from .errors import (
     ArityMismatch,
     NotComposable,
     NotWellPosed,
+    ResourceLimitExceeded,
 )
+from .groebner import DEFAULT_LIMITS
 from .poly import Context, Derivation, Poly, _packing
 from .series import TruncSeries, _exponents_of_degree
 
@@ -211,11 +214,12 @@ def coeff_via_lie(s: CdfSeries, n) -> Fraction:
 
 
 def _eval_on_tables(p: Poly, tables, d: int, N: int) -> TruncSeries:
+    exponents = _packing(len(p.ctx)).exponents
     out = {}
     pows = {}
     for m, c in p.terms.items():
         term = TruncSeries.const(1, d, N)
-        for key in m.exps:
+        for key in exponents(m):
             if key not in pows:
                 v, e = key
                 acc = tables[v]
@@ -251,8 +255,20 @@ def generator_tables(sys: CdfSystem, N: int):
     return tables
 
 
-def coeff_table(s: CdfSeries, N: int) -> TruncSeries:
-    """All coefficients of total degree <= N via the dynamic program."""
+def coeff_table(s: CdfSeries, N: int, limits=None) -> TruncSeries:
+    """All coefficients of total degree <= N via the dynamic program.
+
+    Before any table is built, N is compared with the ``max_degree`` cap
+    of ``limits`` and the number of coefficients, C(N + d, d) over d axes,
+    with its ``max_iterations`` cap: past either,
+    :class:`ResourceLimitExceeded` is raised.
+    """
+    limits = limits or DEFAULT_LIMITS
+    if N > limits.max_degree:
+        raise ResourceLimitExceeded("max_degree", N, limits.max_degree)
+    count = comb(N + s.dim, s.dim)
+    if count > limits.max_iterations:
+        raise ResourceLimitExceeded("max_iterations", count, limits.max_iterations)
     tables = generator_tables(s.system, N)
     return _eval_on_tables(s.expr, tables, s.dim, N)
 
@@ -416,11 +432,11 @@ def _restriction_of_poly(p: Poly, rec: MonoidRecognizer, target: Context, gname)
     sit at the identity, and products convolve over the monoid.  The
     parts convolve packed monomials; a copy's exponent is at most its
     variable's, so none grows past the input's."""
-    packing = _packing(len(target))
+    exponents, packing = _packing(len(p.ctx)).exponents, _packing(len(target))
     out = {}
     for mono, c in p.terms.items():
         parts = {rec.identity: {0: c}}
-        for v, e in mono.exps:
+        for v, e in exponents(mono):
             copies = [packing.var(target.id_of(gname(v, m_f))) for m_f in range(rec.size)]
             for _ in range(e):
                 nxt = {}
@@ -435,8 +451,7 @@ def _restriction_of_poly(p: Poly, rec: MonoidRecognizer, target: Context, gname)
             bucket = out.setdefault(m, {})
             for k, a in acc.items():
                 bucket[k] = bucket.get(k, 0) + a
-    unpack = packing.unpack
-    pieces = {m: Poly(target, {unpack(k): a for k, a in t.items()}) for m, t in out.items()}
+    pieces = {m: Poly(target, t) for m, t in out.items()}
     return {m: q for m, q in pieces.items() if not q.is_zero()}
 
 

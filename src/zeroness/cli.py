@@ -144,7 +144,7 @@ def cmd_coeffs(args):
                 print(f"{word or 'eps'} {format_value(value)}")
         return EXIT_MATCH
     series = _as_cdf(kind, payload)
-    table = cdf.coeff_table(series, args.max)
+    table = cdf.coeff_table(series, args.max, _limits(args))
     names = series.system.base_names
     for n in sorted(table.coeffs, key=lambda n: (sum(n), n)):
         print(f"{_monomial_str(n, names)} {format_value(table.coeffs[n])}")
@@ -294,12 +294,13 @@ def build_parser():
         allow_abbrev=False,
     )
     parser.add_argument("--max-degree", type=_bound, default=64,
-                        help="cap on intermediate polynomial degree")
+                        help="cap on intermediate polynomial degree, and on "
+                        "the degree of a series' coeffs table")
     parser.add_argument("--max-basis", type=_bound, default=512,
                         help="cap on Groebner basis size")
     parser.add_argument("--timeout-iterations", type=_bound, default=200_000,
                         help="cap on pair-reduction steps, and on the words "
-                        "that coeffs enumerates for a process")
+                        "or coefficients that coeffs enumerates")
     parser.add_argument("--stats", action="store_true",
                         help="print saturation statistics")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -81,12 +81,13 @@ class _Tokens:
     def fail(self, message):
         raise ParseError(message, self.line)
 
-    def cap_degree(self, degree):
-        """Fail before a product or power of this degree is expanded:
-        expanding one beyond the degree cap takes unbounded time."""
+    def cap(self, value, what):
+        """Fail when ``value`` passes the degree cap: expanding a product or
+        power beyond it, or building a constraint's monoid of about that
+        many elements, takes unbounded time."""
         cap = DEFAULT_LIMITS.max_degree
-        if degree > cap:
-            self.fail(f"a polynomial of degree {degree} exceeds the degree cap {cap}")
+        if value > cap:
+            self.fail(f"{what} {value} exceeds the degree cap {cap}")
 
 
 def _parse_all(rule, text, line, *args):
@@ -156,7 +157,7 @@ def _expr_term(ts, ctx, system):
         ts.next()
         rhs = _expr_factor(ts, ctx, system)
         if isinstance(value, Poly) and isinstance(rhs, Poly):
-            ts.cap_degree(value.degree + rhs.degree)
+            ts.cap(value.degree + rhs.degree, "a polynomial of degree")
             value = value * rhs
         else:
             value = cdf.c_mul(_as_series(value, system), _as_series(rhs, system))
@@ -174,7 +175,7 @@ def _expr_factor(ts, ctx, system):
         n = _integer(ts, "exponent")
         # a constant power costs time linear in n, and a series power is n
         # closure products, so n itself is capped too
-        ts.cap_degree(n * max(value.degree, 1) if isinstance(value, Poly) else n)
+        ts.cap(n * max(value.degree, 1) if isinstance(value, Poly) else n, "a polynomial of degree")
         if isinstance(value, Poly):
             value = value ** n
         else:
@@ -266,13 +267,20 @@ def _constraint_atom(ts):
         ts.fail(f"constraint atoms use z1, z2, ...; got {tok!r}")
     axis = _digits(ts, m.group(1))
     op = ts.next()
+    # a restriction adjoins a generator copy per element of a monoid about
+    # as large as its bound, modulus or residue
     if op == "%":
         modulus = _integer(ts, "modulus")
+        ts.cap(modulus, "a modulus of")
         ts.expect("==")
-        return constraints.ModEq(axis, _integer(ts, "residue"), modulus)
+        residue = _integer(ts, "residue")
+        ts.cap(residue, "a residue of")
+        return constraints.ModEq(axis, residue, modulus)
     if op not in _COMPARISONS:
         ts.fail(f"unknown comparison {op!r}")
-    return _COMPARISONS[op](axis, _integer(ts, "bound"))
+    bound = _integer(ts, "bound")
+    ts.cap(bound, "a bound of")
+    return _COMPARISONS[op](axis, bound)
 
 
 # Shared line handling --------------------------------------------------------------

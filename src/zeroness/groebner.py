@@ -6,11 +6,11 @@ Groebner basis, and saturation loops extend bases incrementally.
 
 Every basis is taken under graded lex with variable 0 highest, the one
 monomial order of the library; membership is the same under any order.
-Inside the layer a monomial is one ``int`` (see
+A monomial is the ``int`` a :class:`~zeroness.poly.Poly` stores (see
 :class:`~zeroness.poly._Packing`), so the order is integer comparison, a
-product is a sum and divisibility is a mask test; polynomials enter and
-leave as :class:`~zeroness.poly.Poly`, or already packed by their
-context's packing.
+product is a sum and divisibility is a mask test; a polynomial is reduced
+on the ``int`` numerators of its terms over one denominator, with the
+keys it stores, and leaves as a ``Poly`` with the same keys.
 
 All computations carry resource caps; hitting one raises
 :class:`~zeroness.errors.ResourceLimitExceeded`, which callers surface as
@@ -26,7 +26,13 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ContextMismatch, ResourceLimitExceeded
-from .poly import _MAX_EXPONENT, Poly, _packing  # noqa: F401 (re-exported)
+from .poly import (  # noqa: F401 (_MAX_EXPONENT re-exported)
+    _MAX_EXPONENT,
+    Poly,
+    _from_numerators,
+    _over_common_denominator,
+    _packing,
+)
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class GroebnerBasis:
     ``packing``, the packing of ``ctx``: each generator's head and its tail
     in integers.  They are computed once, when the basis is built; a basis
     is never modified after construction, and reduction and completion read
-    heads and tails from here.  ``generators`` unpacks them into ``Poly``
+    heads and tails from here.  ``generators`` lifts them to ``Poly``
     objects on first use.
     """
 
@@ -67,12 +73,9 @@ class GroebnerBasis:
     @property
     def generators(self):
         if self._generators is None:
-            unpack, one = self.packing.unpack, Fraction(1)
+            one = Fraction(1)
             self._generators = tuple(
-                Poly(
-                    self.ctx,
-                    {unpack(h): one, **{unpack(m): Fraction(c, d) for m, c in tail.items()}},
-                )
+                Poly(self.ctx, {h: one, **{m: Fraction(c, d) for m, c in tail.items()}})
                 for h, tail, d in self.entries
             )
         return self._generators
@@ -138,22 +141,17 @@ def reduce(p: Poly, basis: GroebnerBasis, limits: "GroebnerLimits" = None) -> Po
     stored order.
     """
     limits = limits or DEFAULT_LIMITS
-    packing = basis.packing
     budget = _Budget(limits.max_iterations)
-    remainder, den = _reduce(p, basis.ctx, basis.entries, packing, budget)
-    return packing.poly(p.ctx, remainder, den)
+    remainder, den = _reduce(p, basis.ctx, basis.entries, basis.packing, budget)
+    return _from_numerators(p.ctx, remainder, den)
 
 
 def _reduce(p, ctx, entries, packing, budget: _Budget):
-    """``(remainder, den)`` of :func:`_normal_form` for ``p``: a ``Poly``
-    of ``ctx``, or a pair ``(packed, den)`` already packed by ``packing``."""
-    if isinstance(p, Poly):
-        if p.ctx is not ctx:
-            raise ContextMismatch("polynomial outside the basis's context")
-        work, den = packing.pack_terms(p.terms)
-    else:
-        packed, den = p
-        work = dict(packed)  # the normal form consumes its work
+    """``(remainder, den)`` of :func:`_normal_form` for ``p``, a ``Poly``
+    of ``ctx``, on the ``int`` numerators of its terms."""
+    if p.ctx is not ctx:
+        raise ContextMismatch("polynomial outside the basis's context")
+    (work,), den = _over_common_denominator(p.terms)
     return _normal_form(work, den, entries, packing, budget)
 
 
@@ -350,15 +348,19 @@ def buchberger(gens, limits: GroebnerLimits = None, ctx=None) -> GroebnerBasis:
 def extend(basis: GroebnerBasis, p, limits: GroebnerLimits = None) -> GroebnerBasis:
     """Groebner basis of ideal(basis) + <p>, reusing the existing basis.
 
-    ``p`` is a ``Poly``, or a pair ``(packed, den)`` in the packed form of
-    :class:`~zeroness.poly._Packing`, packed by ``basis.packing``;
-    saturation keeps its polynomials so.  Returns ``basis`` itself when
-    ``p`` is already a member.
+    ``p`` is a ``Poly`` of the basis's context, or a pair ``(packed, den)``
+    of its ``int`` numerators over one denominator, as saturation keeps
+    its polynomials.  Returns ``basis`` itself when ``p`` is already a
+    member.
     """
     limits = limits or DEFAULT_LIMITS
     packing, entries = basis.packing, basis.entries
     budget = _Budget(limits.max_iterations)
-    h, _ = _reduce(p, basis.ctx, entries, packing, budget)
+    if isinstance(p, Poly):
+        h, _ = _reduce(p, basis.ctx, entries, packing, budget)
+    else:
+        packed, den = p  # the normal form consumes its work: copy it
+        h, _ = _normal_form(dict(packed), den, entries, packing, budget)
     if not h:
         return basis
     new = _new_entry(h, len(entries), packing, limits)

@@ -5,17 +5,22 @@ variables are fixed when it is made.  Values are immutable after
 construction; every operation returns a new polynomial in canonical form
 (no zero coefficients, unique representation per mathematical polynomial).
 
-A :class:`Monomial` is a plain exponent record.  All monomial arithmetic
-runs on the packed form this module owns (see :class:`_Packing`): each
-monomial one ``int``, whose integer order is graded lex, the one monomial
-order of the library, and a polynomial a dict of ``int`` numerators over
-one denominator.  Products (:func:`_multiply`, also behind powers and
-substitution), derivation application (:meth:`Derivation._apply`),
-evaluation (:func:`_evaluate`) and evaluation at a dual point
-(:func:`_evaluate_dual`) are written once, as kernels over that form,
-and renaming renumbers packed fields; ``Poly`` and ``Derivation`` pack,
-run the kernel and unpack, and the Groebner layer packs with the same
-class.  An exponent that does not fit its field raises
+A polynomial is stored in the one form its kernels run on: a dict from
+packed monomials to nonzero ``Fraction`` coefficients.  A packed
+monomial (see :class:`_Packing`) is one ``int`` of its context's
+packing, whose integer order is graded lex, the one monomial order of
+the library.  Build polynomials from :meth:`Context.var` and
+:meth:`Context.const` with ring arithmetic, or parse them
+(:func:`zeroness.formats.parse_poly`).  Products (:func:`_multiply`, also
+behind powers and substitution), derivation application
+(:meth:`Derivation._apply`), evaluation (:func:`_evaluate`) and
+evaluation at a dual point (:func:`_evaluate_dual`) are written once, as
+kernels on the stored keys with integer numerators over one denominator;
+renaming renumbers packed fields (:func:`transport`), and the Groebner
+layer reads the same keys.  Only printing, substitution, the variable
+set and the two table readers of ``cdf`` decode a key into exponents
+(:meth:`_Packing.exponents`).  An exponent that does not fit its field
+raises
 :class:`ResourceLimitExceeded` with cap ``'exponent'``.
 """
 
@@ -67,17 +72,16 @@ class Context:
     # Convenience constructors -------------------------------------------
 
     def var(self, name: str) -> "Poly":
-        vid = self.id_of(name)
-        return Poly(self, {Monomial(((vid, 1),)): Fraction(1)})
+        return self.var_by_id(self.id_of(name))
 
     def var_by_id(self, vid: int) -> "Poly":
-        return Poly(self, {Monomial(((vid, 1),)): Fraction(1)})
+        return Poly(self, {_packing(len(self)).var(vid): Fraction(1)})
 
     def const(self, c) -> "Poly":
         c = Fraction(c)
         if c == 0:
             return Poly(self, {})
-        return Poly(self, {Monomial(()): c})
+        return Poly(self, {0: c})
 
     def zero(self) -> "Poly":
         return Poly(self, {})
@@ -87,53 +91,6 @@ class Context:
 
     def __repr__(self):
         return f"Context({list(self._names)!r})"
-
-
-class Monomial:
-    """A power product, stored as a tuple of (variable id, exponent > 0)
-    pairs sorted by variable id.
-
-    It is a plain exponent record: products, powers, substitution and
-    renaming run on the packed form of :class:`_Packing`.
-    """
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps=()):
-        exps = tuple(sorted((v, e) for v, e in exps if e != 0))
-        if any(e < 0 for _, e in exps):
-            raise ValueError(f"negative exponent in monomial {exps}")
-        self.exps = exps
-
-    @classmethod
-    def _from_sorted(cls, exps: tuple) -> "Monomial":
-        """Wrap ``exps`` without checking it: callers guarantee that it is a
-        tuple of (variable id, exponent > 0) pairs sorted by variable id."""
-        m = object.__new__(cls)
-        m.exps = exps
-        return m
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def variables(self):
-        return tuple(v for v, _ in self.exps)
-
-    def __repr__(self):
-        if not self.exps:
-            return "Monomial(1)"
-        body = "*".join(f"v{v}^{e}" if e > 1 else f"v{v}" for v, e in self.exps)
-        return f"Monomial({body})"
-
-
-_ONE = Monomial(())
 
 
 def _as_fraction(c):
@@ -173,7 +130,7 @@ _MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
 
 
 class _Packing:
-    """Monomials over ``nvars`` variables as single ints, in the one
+    """The monomials over ``nvars`` variables as single ints, in the one
     monomial order of the library: graded lex, variable 0 highest.
 
     Variable ``v`` owns the ``_FIELD``-bit field at ``shifts[v]``, variable
@@ -185,8 +142,9 @@ class _Packing:
     divides ``m`` iff ``((m | guards) - h) & guards == guards``, since each
     field's guard absorbs its own borrow.
 
-    A polynomial in packed form is a dict from packed monomials to ``int``
-    numerators over one denominator, kept next to it.
+    A :class:`Poly` maps these ints to its coefficients; the kernels run
+    on a dict from them to ``int`` numerators over one denominator, kept
+    next to it.
     """
 
     __slots__ = ("shifts", "top", "unit", "guards", "exps")
@@ -199,43 +157,23 @@ class _Packing:
         self.top = _FIELD * nvars  # the degree field sits above the variables
         self.unit = 1 << self.top
 
-    def pack(self, m: Monomial) -> int:
-        x = degree = 0
-        shifts = self.shifts
-        for v, e in m.exps:
-            if e > _MAX_EXPONENT:
-                raise ResourceLimitExceeded("exponent", e, _MAX_EXPONENT)
-            x += e << shifts[v]
-            degree += e
-        return x + degree * self.unit
-
     def var(self, v: int) -> int:
         """The packed variable ``v``."""
         return (1 << self.shifts[v]) + self.unit
 
-    def unpack(self, x: int) -> Monomial:
+    def exponents(self, x: int):
+        """The ``(variable id, exponent)`` pairs of the packed monomial
+        ``x``, by increasing id, one per nonzero exponent field."""
         # walk the nonzero exponent fields from the highest, variable 0
         x &= self.exps
         last = len(self.shifts) - 1
-        exps = []
+        pairs = []
         while x:
             s = (x.bit_length() - 1) & -_FIELD
             e = x >> s
             x -= e << s
-            exps.append((last - s // _FIELD, e))
-        return Monomial._from_sorted(tuple(exps))
-
-    def pack_terms(self, terms: dict):
-        """``(packed, den)``: the rational ``terms`` of a polynomial in
-        packed form."""
-        (scaled,), den = _over_common_denominator(terms)
-        pack = self.pack
-        return {pack(m): c for m, c in scaled.items()}, den
-
-    def poly(self, ctx: Context, packed: dict, den: int) -> "Poly":
-        """The polynomial of ``packed`` over ``den``, terms in stored order."""
-        unpack = self.unpack
-        return Poly(ctx, {unpack(m): Fraction(c, den) for m, c in packed.items()})
+            pairs.append((last - s // _FIELD, e))
+        return pairs
 
     def degree(self, x: int) -> int:
         return x >> self.top
@@ -395,7 +333,8 @@ def _multiply(left: dict, right: dict, packing: _Packing) -> dict:
 
 
 class Poly:
-    """A polynomial: map from :class:`Monomial` to nonzero ``Fraction``.
+    """A polynomial: map from the packed monomials of its context's
+    packing (:func:`_packing`) to nonzero ``Fraction`` coefficients.
 
     Degree of the zero polynomial is 0 by convention.
     """
@@ -413,21 +352,22 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(m.degree for m in self.terms)
+        # the largest packed monomial has the largest degree field
+        return max(self.terms, default=0) >> _packing(len(self.ctx)).top
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(_ONE, Fraction(0))
+        return self.terms.get(0, Fraction(0))
 
     def is_constant(self) -> bool:
-        return all(m == _ONE for m in self.terms)
+        return all(m == 0 for m in self.terms)
 
     def variables(self):
-        seen = set()
+        # a field of the union of the monomials is nonzero iff some
+        # monomial has that variable
+        union = 0
         for m in self.terms:
-            seen.update(m.variables())
-        return seen
+            union |= m
+        return {v for v, _ in _packing(len(self.ctx)).exponents(union)}
 
     # Ring operations ----------------------------------------------------
 
@@ -464,10 +404,10 @@ class Poly:
                 return self.ctx.zero()
             return Poly(self.ctx, {m: c * k for m, k in self.terms.items()})
         self._check(other)
-        packing = _packing(len(self.ctx))
-        left, d1 = packing.pack_terms(self.terms)
-        right, d2 = packing.pack_terms(other.terms)
-        return packing.poly(self.ctx, _multiply(left, right, packing), d1 * d2)
+        (left,), d1 = _over_common_denominator(self.terms)
+        (right,), d2 = _over_common_denominator(other.terms)
+        product = _multiply(left, right, _packing(len(self.ctx)))
+        return _from_numerators(self.ctx, product, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -498,7 +438,7 @@ class Poly:
         packed kernel :func:`_evaluate`."""
         packing = _packing(len(self.ctx))
         at = packing.point(point)
-        packed, den = packing.pack_terms(self.terms)
+        (packed,), den = _over_common_denominator(self.terms)
         return _evaluate(packed, den, at, packing)
 
     def substitute(self, images: dict) -> "Poly":
@@ -519,57 +459,44 @@ class Poly:
         if missing:
             names = sorted(self.ctx.name_of(v) for v in missing)
             raise ArityMismatch(f"no image for variables {names}")
-        # each power images[v] ** e once, packed; then, in integers over one
+        # each power images[v] ** e once; then, in integers over one
         # denominator q, a monomial with r such factors is a product over
         # q**r, lifted to the largest r
+        exponents = _packing(len(self.ctx)).exponents
+        factors = {m: exponents(m) for m in self.terms}
         powers = {}
-        for m in self.terms:
-            for factor in m.exps:
+        for pairs in factors.values():
+            for factor in pairs:
                 if factor not in powers:
                     v, e = factor
                     powers[factor] = images[v] ** e
         packing = _packing(len(target))
-        pack = packing.pack
         scaled, q = _over_common_denominator(*(p.terms for p in powers.values()))
-        powers = {f: {pack(m): c for m, c in t.items()} for f, t in zip(powers, scaled)}
+        powers = dict(zip(powers, scaled))
         (terms,), dc = _over_common_denominator(self.terms)
-        top = max((len(m.exps) for m in terms), default=0)
+        top = max(map(len, factors.values()), default=0)
         one = {0: 1}
         out = {}
         for m, c in terms.items():
             term = one
-            for factor in m.exps:
+            for factor in factors[m]:
                 term = powers[factor] if term is one else _multiply(term, powers[factor], packing)
-            c *= q ** (top - len(m.exps))
+            c *= q ** (top - len(factors[m]))
             for k, x in term.items():
                 out[k] = out.get(k, 0) + c * x
-        return packing.poly(target, {k: x for k, x in out.items() if x}, dc * q**top)
+        return _from_numerators(target, {k: x for k, x in out.items() if x}, dc * q**top)
 
     def rename(self, target: Context, name_map=None) -> "Poly":
         """Transport into ``target`` by variable name (or via ``name_map``):
-        each variable id is renumbered to its target's, exponents of ids
-        that meet add up, and the coefficients stay as they are.  The packed
-        term is checked after each factor, so no sum carries out of a field."""
-        packing = _packing(len(target))
-        moved = {}
+        each variable id is renumbered to its target's by
+        :func:`transport`, so exponents of ids that meet add up."""
+        ids = [None] * len(self.ctx)
         for v in self.variables():
             name = self.ctx.name_of(v)
             if name_map is not None:
                 name = name_map[name]
-            moved[v] = packing.var(target.id_of(name))
-        guards = packing.guards
-        out = {}
-        for m, c in self.terms.items():
-            x = 0
-            for v, e in m.exps:
-                if e > _MAX_EXPONENT:
-                    raise ResourceLimitExceeded("exponent", e, _MAX_EXPONENT)
-                x += e * moved[v]
-                if x & guards:
-                    raise packing.overflow(x)
-            out[x] = out.get(x, 0) + c
-        unpack = packing.unpack
-        return Poly(target, {unpack(x): c for x, c in out.items()})
+            ids[v] = target.id_of(name)
+        return transport(self, target, tuple(ids))
 
     # Printing -----------------------------------------------------------
 
@@ -580,11 +507,60 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
-def _grlex(m: Monomial):
-    """Graded lex with variable 0 highest, for printing: by degree, then by
-    the exponent of the lowest variable id where two monomials differ.
-    Unlike a packed key it holds any exponent."""
-    return m.degree, tuple((-v, e) for v, e in m.exps)
+def _from_numerators(ctx: Context, packed: dict, den: int) -> Poly:
+    """The polynomial of ``ctx`` whose terms are the ``int`` numerators
+    ``packed`` over ``den``, in stored order."""
+    return Poly(ctx, {m: Fraction(c, den) for m, c in packed.items()})
+
+
+def transport(p: Poly, target: Context, ids=None) -> Poly:
+    """``p`` in ``target``, variable ``v`` renumbered to ``ids[v]``, for
+    ``ids`` a range or a tuple over the variables of ``p``'s context that
+    holds ``None`` for a variable ``p`` does not have; ``ids`` None keeps
+    every id, and a range is an offset.
+
+    The exponent fields move by the slices of :func:`_slices` and the
+    degree field moves as it is.  Slices whose ids meet add up; the moved
+    term is checked after each slice, so no sum carries out of a field.
+    The coefficients stay as they are, summed where moved monomials meet.
+    """
+    if ids is None:
+        ids = range(len(p.ctx))
+    top, packing, slices = _slices(len(p.ctx), len(target), ids)
+    unit, guards = packing.unit, packing.guards
+    out = {}
+    for m, c in p.terms.items():
+        x = (m >> top) * unit
+        for s, mask, t in slices:
+            x += ((m >> s) & mask) << t
+            if x & guards:
+                raise packing.overflow(x)
+        prev = out.get(x)
+        out[x] = c if prev is None else prev + c
+    return Poly(target, out)
+
+
+@lru_cache(maxsize=1024)
+def _slices(nsource: int, ntarget: int, ids):
+    """``(top, packing, slices)`` for :func:`transport` from ``nsource``
+    variables into ``ntarget``: the source degree field's shift, the
+    target packing, and ``(shift, mask, target shift)`` per run of
+    consecutive variables whose ids are consecutive too, each moved as
+    one slice of fields.  A range of ids is one run."""
+    source, packing = _packing(nsource), _packing(ntarget)
+    runs = []  # [first, last] variable of each run, by increasing id
+    for v, t in enumerate(ids):
+        if t is None:
+            continue
+        if runs and runs[-1][1] == v - 1 and t == ids[v - 1] + 1:
+            runs[-1][1] = v
+        else:
+            runs.append([v, v])
+    slices = tuple(
+        (source.shifts[last], (1 << _FIELD * (last - first + 1)) - 1, packing.shifts[ids[last]])
+        for first, last in runs
+    )
+    return source.top, packing, slices
 
 
 def format_value(c) -> str:
@@ -613,11 +589,12 @@ def format_poly(p: Poly) -> str:
     if not p.terms:
         return "0"
 
+    exponents = _packing(len(p.ctx)).exponents
     parts = []
-    for m in sorted(p.terms, key=_grlex, reverse=True):
+    for m in sorted(p.terms, reverse=True):
         c = p.terms[m]
         factors = [
-            f"{p.ctx.name_of(v)}^{e}" if e > 1 else p.ctx.name_of(v) for v, e in m.exps
+            f"{p.ctx.name_of(v)}^{e}" if e > 1 else p.ctx.name_of(v) for v, e in exponents(m)
         ]
         body = "*".join(factors)
         mag = abs(c)
@@ -695,12 +672,11 @@ class Derivation:
         return self.images.get(vid, self.ctx.zero())
 
     def __call__(self, p: Poly) -> Poly:
-        """Apply the derivation: pack ``p``, run :meth:`_apply`, unpack."""
+        """Apply the derivation: :meth:`_apply` on the numerators of ``p``."""
         if p.ctx is not self.ctx:
             raise ContextMismatch("derivation applied outside its context")
-        packing = _packing(len(self.ctx))
-        packed, den = self._apply(*packing.pack_terms(p.terms), packing)
-        return packing.poly(self.ctx, packed, den)
+        (packed,), den = _over_common_denominator(p.terms)
+        return _from_numerators(self.ctx, *self._apply(packed, den, _packing(len(self.ctx))))
 
     def _apply(self, packed: dict, den: int, packing: _Packing):
         """The derivation of the polynomial ``packed`` over ``den``, in
@@ -732,10 +708,9 @@ class Derivation:
             packing = _packing(len(self.ctx))
             nonzero = {v: p.terms for v, p in sorted(self.images.items()) if p.terms}
             scaled, di = _over_common_denominator(*nonzero.values())
-            pack, shifts = packing.pack, packing.shifts
             images = []
             for v, terms in zip(nonzero, scaled):
                 unit = packing.var(v)
-                images.append((shifts[v], tuple((pack(m) - unit, c) for m, c in terms.items())))
+                images.append((packing.shifts[v], tuple((m - unit, c) for m, c in terms.items())))
             self._packed = tuple(images), di
         return self._packed

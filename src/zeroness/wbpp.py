@@ -21,7 +21,7 @@ from ._saturation import ZeroVerdict
 from ._system import System, adjoin, decide, fold, fold_value, inverse, union
 from .errors import ArityMismatch, NotStandardForm, NotWellPosed, ResourceLimitExceeded
 from .groebner import DEFAULT_LIMITS
-from .poly import Context, Derivation, Poly
+from .poly import Context, Derivation, Poly, _from_numerators
 
 # The length up to which the bounded commutativity semi-check compares
 # Parikh-equivalent words, wherever a process must be commutative.
@@ -135,8 +135,8 @@ def delta_letter(m: Wbpp, letter, config: Poly) -> Poly:
 
 
 def delta_word(m: Wbpp, word, config: Poly) -> Poly:
-    packing, packed, den = fold(config, _ops(m, word))
-    return packing.poly(config.ctx, packed, den)
+    _, packed, den = fold(config, _ops(m, word))
+    return _from_numerators(config.ctx, packed, den)
 
 
 def output_value(m: Wbpp, config: Poly) -> Fraction:

@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and shares no code path with
 the engines under test: species are evaluated with truncated-series
 combinators only, shuffle products by explicit interleaving enumeration,
-monomials multiply, divide and compare as dense exponent vectors, and
+packed monomial keys are decoded by arithmetic of their own and multiply,
+divide and compare as dense exponent vectors, and
 ideal membership is decided by bounded Macaulay linear algebra over exact
 rationals.
 """
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from zeroness import constraints, species
-from zeroness.poly import Monomial, Poly
+from zeroness.poly import Poly
 from zeroness.series import TruncSeries, mask, solve_implicit
 
 
@@ -93,50 +94,56 @@ def shuffle_coefficient(f, g, word):
 
 # Monomial algebra on dense exponent vectors --------------------------------------
 #
-# The library keeps Monomial as a plain exponent record and multiplies,
-# divides and orders monomials only in packed form; these are the
-# references its packed kernels are checked against.
+# A polynomial's terms are keyed by packed monomials: in a context of n
+# variables, variable v's exponent sits in the 32-bit field at bit
+# 32 * (n - 1 - v) and the total degree above them all.  These helpers
+# decode and encode that layout with arithmetic of their own and multiply,
+# divide and order monomials as dense exponent vectors; they are the
+# references the library's packed kernels are checked against.
+
+FIELD = 32
 
 
 def dense(m, nvars):
-    """The exponents of ``m`` over variables ``0 .. nvars-1``."""
-    out = [0] * nvars
-    for v, e in m.exps:
-        out[v] = e
-    return tuple(out)
+    """The exponents of the packed monomial ``m`` over variables
+    ``0 .. nvars-1``."""
+    return tuple((m >> (FIELD * (nvars - 1 - v))) % (1 << FIELD) for v in range(nvars))
 
 
-def _dense_pair(a, b):
-    n = 1 + max(a.variables() + b.variables(), default=-1)
-    return zip(dense(a, n), dense(b, n))
+def packed(exps):
+    """The packed monomial of the dense exponents ``exps``, one per
+    variable of the context."""
+    n = len(exps)
+    fields = sum(e * 2 ** (FIELD * (n - 1 - v)) for v, e in enumerate(exps))
+    return fields + sum(exps) * 2 ** (FIELD * n)
 
 
-def _from_dense(exps):
-    return Monomial(tuple(enumerate(exps)))
+def _dense_pair(a, b, nvars):
+    return zip(dense(a, nvars), dense(b, nvars))
 
 
-def mono_mul(a, b):
-    return _from_dense(x + y for x, y in _dense_pair(a, b))
+def mono_mul(a, b, nvars):
+    return packed(tuple(x + y for x, y in _dense_pair(a, b, nvars)))
 
 
-def mono_div(a, b):
+def mono_div(a, b, nvars):
     """``a / b``; ``b`` must divide ``a``."""
-    exps = [x - y for x, y in _dense_pair(a, b)]
+    exps = tuple(x - y for x, y in _dense_pair(a, b, nvars))
     if min(exps, default=0) < 0:
         raise ValueError("monomial division with negative exponent")
-    return _from_dense(exps)
+    return packed(exps)
 
 
-def mono_lcm(a, b):
-    return _from_dense(max(x, y) for x, y in _dense_pair(a, b))
+def mono_lcm(a, b, nvars):
+    return packed(tuple(max(x, y) for x, y in _dense_pair(a, b, nvars)))
 
 
-def mono_divides(a, b):
-    return all(x <= y for x, y in _dense_pair(a, b))
+def mono_divides(a, b, nvars):
+    return all(x <= y for x, y in _dense_pair(a, b, nvars))
 
 
-def mono_coprime(a, b):
-    return not any(x and y for x, y in _dense_pair(a, b))
+def mono_coprime(a, b, nvars):
+    return not any(x and y for x, y in _dense_pair(a, b, nvars))
 
 
 def grlex_key(m, nvars):
@@ -149,13 +156,10 @@ def grlex_key(m, nvars):
 # Ideal membership by bounded Macaulay linear algebra ----------------------------
 
 
-def _monomials_up_to(ctx, bound):
-    nv = len(ctx)
-    out = []
-    for exps in product(range(bound + 1), repeat=nv):
-        if sum(exps) <= bound:
-            out.append(Monomial(tuple((v, e) for v, e in enumerate(exps) if e)))
-    return out
+def _monomials_up_to(nvars, bound):
+    return [
+        exps for exps in product(range(bound + 1), repeat=nvars) if sum(exps) <= bound
+    ]
 
 
 def _solve_exact(rows, rhs):
@@ -189,16 +193,17 @@ def macaulay_member(p: Poly, gens, bound: int) -> bool:
     Columns are (generator, multiplier monomial) pairs; rows are monomials
     of degree <= bound; solved exactly.
     """
-    ctx = p.ctx
+    nv = len(p.ctx)
     columns = []
     for g in gens:
-        for mu in _monomials_up_to(ctx, bound - g.degree):
+        for mu in _monomials_up_to(nv, bound - g.degree):
             shifted = {}
             for m, c in g.terms.items():
-                key = mono_mul(m, mu)
+                key = tuple(x + y for x, y in zip(dense(m, nv), mu))
                 shifted[key] = shifted.get(key, Fraction(0)) + c
             columns.append(shifted)
-    row_monomials = _monomials_up_to(ctx, bound)
+    row_monomials = _monomials_up_to(nv, bound)
+    terms = {dense(m, nv): c for m, c in p.terms.items()}
     rows = [[col.get(m, Fraction(0)) for col in columns] for m in row_monomials]
-    rhs = [p.terms.get(m, Fraction(0)) for m in row_monomials]
+    rhs = [terms.get(m, Fraction(0)) for m in row_monomials]
     return _solve_exact(rows, rhs)

@@ -399,6 +399,29 @@ def test_coeffs_word_count_is_capped():
     assert run("coeffs", model("running.wbpp"), "--max", "17")[:2] == (4, "")
 
 
+def test_coeffs_of_a_series_are_capped():
+    # n^(n-1) labelled rooted trees of size n
+    coeffs8 = ("coeffs", model("cayley.cdf"), "--max", "8")
+    assert run(*coeffs8) == (
+        0,
+        "x1 1\nx1^2 2\nx1^3 9\nx1^4 64\nx1^5 625\nx1^6 7776\nx1^7 117649\nx1^8 2097152\n",
+        "",
+    )
+    # past the degree cap (64 by default), or past the iteration cap by the
+    # C(200 + 1, 1) = 201 coefficients of one axis, before any table is built
+    for argv, err in (
+        ((), "resource cap 'max_degree' exceeded: 200 > 64"),
+        (
+            ("--max-degree", "300", "--timeout-iterations", "100"),
+            "resource cap 'max_iterations' exceeded: 201 > 100",
+        ),
+    ):
+        start = time.perf_counter()
+        result = run(*argv, "coeffs", model("cayley.cdf"), "--max", "200")
+        assert time.perf_counter() - start < 1
+        assert result == (4, "", f"INCONCLUSIVE_RESOURCE_LIMIT ({err})\n")
+
+
 def test_check_jobs():
     code, out, _ = run(
         "check", "--jobs", "2", model("running.wbpp"), model("sin.cdf")

@@ -338,6 +338,30 @@ def test_oversized_literal_is_a_parse_error_on_its_line(parse, text, line, digit
     assert exc.value.line == line
 
 
+EXP_CDF = "vars x1\ngens e\ninit e = 1\nd/dx1 e = e\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, what",
+    [
+        (F.parse_cdf, EXP_CDF + "expr = restrict(e; z1 >= {})\n", 5, "bound"),
+        (F.parse_cdf, EXP_CDF + "expr = restrict(e; z1 % {} == 1)\n", 5, "modulus"),
+        (F.parse_spec, "sorts 1\nspecies S {{\n  restrict(SET(X1); z1 <= {})\n}}\n", 3, "bound"),
+        (F.parse_spec, "species S {{\n\n  restrict(SET(X1); z1 % 64 == {})\n}}\n", 3, "residue"),
+        (lambda text: F.parse_constraint(text, 7), "z1 == 2 && !(z1 % {} == 0)", 7, "modulus"),
+    ],
+    ids=["cdf-bound", "cdf-modulus", "spec-bound", "spec-residue", "constraint"],
+)
+def test_constraint_constant_is_capped_on_its_line(parse, text, line, what):
+    # a restriction builds a monoid about as large as its constant: the
+    # constant is capped like a degree, at 64
+    parse(text.format(64))
+    with pytest.raises(ParseError) as exc:
+        parse(text.format(65))
+    assert str(exc.value) == f"line {line}: a {what} of 65 exceeds the degree cap 64"
+    assert exc.value.line == line
+
+
 def test_coefficients_of_any_size_print_in_full(ctx, digit_limit):
     # 7^8192 has 6923 digits; each piece is read below the limit
     x = ctx.var("x")

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from oracles import (
     dense,
+    grlex_key,
     macaulay_member,
     mono_coprime,
     mono_div,
     mono_divides,
     mono_lcm,
-    grlex_key,
     mono_mul,
+    packed,
 )
 from zeroness import cdf as C
 from zeroness import groebner
@@ -35,7 +36,7 @@ from zeroness.groebner import (
     ideal_equal,
     reduce,
 )
-from zeroness.poly import Context, Monomial, Poly
+from zeroness.poly import Context, Poly
 
 
 @pytest.fixture
@@ -264,107 +265,104 @@ def test_cyclic4_step_count_is_pinned():
 
 @st.composite
 def built_monomials(draw):
-    """Monomials over ``nvars`` variables, built every way the library
-    builds them, each with its dense exponent vector worked out here.
-    Exponents at the packed field boundary make products and quotients
-    that straddle it."""
+    """Exponent vectors over ``nvars`` variables, each pair with the way
+    the library is to build a packed monomial from them.  Exponents at the
+    packed field boundary make products and quotients that straddle it."""
     nvars = draw(st.integers(0, 4))
     exponent = st.one_of(
         st.integers(0, 3), st.sampled_from([_MAX_EXPONENT - 1, _MAX_EXPONENT])
     )
     vec = st.lists(exponent, min_size=nvars, max_size=nvars).map(tuple)
-    how = st.sampled_from(["init", "from_sorted", "mul", "div", "lcm"])
-    items = []
-    for a, b, way in draw(st.lists(st.tuples(vec, vec, how), min_size=1, max_size=8)):
-        ma = Monomial(reversed(list(enumerate(a))))  # unsorted, with zero exponents
-        mb = Monomial._from_sorted(tuple((v, e) for v, e in enumerate(b) if e))
-        if way == "init":
-            items.append((ma, a))
-        elif way == "from_sorted":
-            items.append((mb, b))
-        elif way == "mul":
-            items.append((mono_mul(ma, mb), tuple(x + y for x, y in zip(a, b))))
-        elif way == "div":
-            items.append((mono_div(mono_mul(ma, mb), mb), a))
-        else:
-            items.append((mono_lcm(ma, mb), tuple(max(x, y) for x, y in zip(a, b))))
-    return nvars, items
+    how = st.sampled_from(["power", "mul", "div", "lcm"])
+    return nvars, draw(st.lists(st.tuples(vec, vec, how), min_size=1, max_size=8))
+
+
+def monomial(ctx, exps):
+    """The packed monomial of ``exps``, built by ring arithmetic in ``ctx``."""
+    p = ctx.one()
+    for v, e in enumerate(exps):
+        p = p * ctx.var_by_id(v) ** e
+    (m,) = p.terms
+    return m
 
 
 @given(built_monomials())
 @settings(max_examples=100, deadline=None)
 def test_order_key_matches_dense_reference(case):
-    nvars, items = case
+    nvars, draws = case
 
     def ref(e):
         return sum(e), e
 
-    # the same monomials keyed in a larger context, then in theirs again
+    # the same monomials built in a larger context, then in theirs again
     for n in (nvars, nvars + 2, nvars):
         pad = (0,) * (n - nvars)
-        for m, e in items:
-            assert grlex_key(m, n) == ref(e + pad)
-
-        # Packed, a monomial with an exponent past the field is refused;
-        # the others sort and pop off a negated heap in the order.
+        ctx = Context([f"v{i}" for i in range(n)])
         packing = _packing(n)
+        # A product with an exponent past the field is refused; the other
+        # monomials sort and pop off a negated heap in the order.
         fits = []
-        for m, e in items:
-            if max(e, default=0) > _MAX_EXPONENT:
-                with pytest.raises(ResourceLimitExceeded) as refused:
-                    packing.pack(m)
-                assert refused.value.cap == "exponent"
-                assert refused.value.value in e
-                assert refused.value.value > refused.value.limit == _MAX_EXPONENT
+        for a, b, way in draws:
+            a, b = a + pad, b + pad
+            ka, kb = monomial(ctx, a), monomial(ctx, b)
+            if way == "power":
+                fits.append((ka, a))
+            elif way == "lcm":
+                fits.append((packing.lcm(ka, kb), tuple(map(max, a, b))))
             else:
-                fits.append((m, packing.pack(m), e))
-        want = [e for _, _, e in sorted(fits, key=lambda it: ref(it[2] + pad))]
-        got = [e for _, _, e in sorted(fits, key=lambda it: it[1])]
+                product = tuple(x + y for x, y in zip(a, b))
+                if max(product, default=0) > _MAX_EXPONENT:
+                    with pytest.raises(ResourceLimitExceeded) as refused:
+                        Poly(ctx, {ka: Fraction(1)}) * Poly(ctx, {kb: Fraction(1)})
+                    assert refused.value.cap == "exponent"
+                    assert refused.value.value == max(product)
+                    assert refused.value.value > refused.value.limit == _MAX_EXPONENT
+                    continue
+                (kab,) = (Poly(ctx, {ka: Fraction(1)}) * Poly(ctx, {kb: Fraction(1)})).terms
+                fits.append((kab, product) if way == "mul" else (kab - kb, a))
+        for m, e in fits:
+            assert m == packed(e)
+            assert dense(m, n) == e
+            assert grlex_key(m, n) == ref(e)
+        want = [e for _, e in sorted(fits, key=lambda it: ref(it[1]))]
+        got = [e for _, e in sorted(fits, key=lambda it: it[0])]
         assert got == want
-        heap = [-x for _, x, _ in fits]
+        heap = [-m for m, _ in fits]
         heapq.heapify(heap)
         popped = [-heapq.heappop(heap) for _ in fits]
-        assert [dense(packing.unpack(x), nvars) for x in popped] == want[::-1]
+        assert [dense(m, n) for m in popped] == want[::-1]
 
-        for ma, a, ea in fits:
-            assert packing.unpack(a) == ma
-            assert packing.degree(a) == ma.degree == sum(ea)
-            for mb, b, eb in fits:
-                assert packing.divides(a, b) == mono_divides(ma, mb)
-                if mono_divides(ma, mb):
-                    assert b - a == packing.pack(mono_div(mb, ma))  # the shift
-                assert packing.lcm(a, b) == packing.pack(mono_lcm(ma, mb))
-                product = mono_mul(ma, mb)
-                top = max((e for _, e in product.exps), default=0)
+        for a, ea in fits:
+            assert packing.degree(a) == sum(ea)
+            for b, eb in fits:
+                assert packing.divides(a, b) == mono_divides(a, b, n)
+                if mono_divides(a, b, n):
+                    assert b - a == mono_div(b, a, n)  # the shift
+                assert packing.lcm(a, b) == mono_lcm(a, b, n)
+                product = tuple(x + y for x, y in zip(ea, eb))
+                top = max(product, default=0)
                 if top > _MAX_EXPONENT:
                     assert (a + b) & packing.guards
                     assert packing.overflow(a + b).value == top
                 else:
                     assert not (a + b) & packing.guards
-                    assert a + b == packing.pack(product)
+                    assert a + b == mono_mul(a, b, n) == packed(product)
 
 
 def test_exponent_overflow_is_a_resource_cap():
-    # An exponent past the packed field is refused, and so is a product
-    # that would carry out of it: the computation is inconclusive, never
-    # a normal form of wrapped exponents.
+    # An exponent past the packed field cannot be built, and a product
+    # that would carry out of it is refused: the computation is
+    # inconclusive, never a normal form of wrapped exponents.
     ctx = Context(["x", "y"])
     x, y = ctx.var("x"), ctx.var("y")
-    huge = Poly(ctx, {Monomial(((1, 2**40),)): Fraction(1)}) + x
+    with pytest.raises(ResourceLimitExceeded) as refused:
+        y ** (2**40) + x
+    assert refused.value.cap == "exponent"
     limits = GroebnerLimits(max_degree=2**41)
-    gb = buchberger([x - y])
-    for run in (
-        lambda: reduce(huge, gb, limits),
-        lambda: buchberger([huge], limits),
-        lambda: extend(gb, huge, limits),
-    ):
-        with pytest.raises(ResourceLimitExceeded) as refused:
-            run()
-        assert (refused.value.cap, refused.value.value) == ("exponent", 2**40)
 
     # x^M y^M by x + y: the first step's shift x^(M-1) y^M times the tail
     # y carries y past the field
-    edge = Poly(ctx, {Monomial(((0, _MAX_EXPONENT), (1, _MAX_EXPONENT))): Fraction(1)})
+    edge = x**_MAX_EXPONENT * y**_MAX_EXPONENT
     gb = buchberger([x + y])
     for run in (
         lambda: reduce(edge, gb, limits),
@@ -377,31 +375,39 @@ def test_exponent_overflow_is_a_resource_cap():
 
     # S(x^M + y, x y^M) = y^M (x^M + y) - x^(M-1) (x y^M): the shift y^M of
     # the first tail carries y past the field
-    f = Poly(ctx, {Monomial(((0, _MAX_EXPONENT),)): Fraction(1), Monomial(((1, 1),)): Fraction(1)})
-    g = Poly(ctx, {Monomial(((0, 1), (1, _MAX_EXPONENT))): Fraction(1)})
+    f = x**_MAX_EXPONENT + y
+    g = x * y**_MAX_EXPONENT
     with pytest.raises(ResourceLimitExceeded) as refused:
         buchberger([f, g], limits)
     assert (refused.value.cap, refused.value.value) == ("exponent", _MAX_EXPONENT + 1)
 
 
 def test_exponent_overflow_makes_a_query_inconclusive():
-    big = Monomial(((0, 2**40),))
-    sys = C.CdfSystem(("x1",), ["e"], {("e", 1): Context(["e"]).var("e")}, [0])
-    series = C.CdfSeries(sys, Poly(sys.ctx, {big: Fraction(1)}))
-    m = W.Wbpp(["a"], ["X"], "X", {("a", "X"): Context(["X"]).var("X")}, {"X": 0})
-    start = Poly(m.core.ctx, {big: Fraction(3)})
-    for verdict in (C.zeroness(series), W.zeroness(m, start)):
+    # a start of e^M vanishes at 0, and its first derivation, by e' = e^2,
+    # gives M e^(M+1): past the field
+    with pytest.raises(ResourceLimitExceeded) as refused:
+        Context(["e"]).var("e") ** (2**40)
+    assert refused.value.cap == "exponent"
+    sys = C.CdfSystem(("x1",), ["e"], {("e", 1): Context(["e"]).var("e") ** 2}, [0])
+    series = C.CdfSeries(sys, sys.ctx.var("e") ** _MAX_EXPONENT)
+    m = W.Wbpp(["a"], ["X"], "X", {("a", "X"): Context(["X"]).var("X") ** 2}, {"X": 0})
+    start = 3 * m.core.ctx.var("X") ** _MAX_EXPONENT
+    limits = GroebnerLimits(max_degree=2**32)
+    for verdict in (C.zeroness(series, limits), W.zeroness(m, start, limits)):
         assert verdict.outcome is Outcome.INCONCLUSIVE_RESOURCE_LIMIT
-        assert verdict.detail == f"resource cap 'exponent' exceeded: {2**40} > {_MAX_EXPONENT}"
+        assert verdict.detail == (
+            f"resource cap 'exponent' exceeded: {_MAX_EXPONENT + 1} > {_MAX_EXPONENT}"
+        )
 
 
 # The Groebner layer reduces integer numerators over one tracked
 # denominator, with every monomial packed into an int.  It must give what
 # the plain-Fraction division and completion below give, term for term
 # and in the same order, spend the same reduction steps, and store only
-# Fraction coefficients.  The reference keys, orders and pairs Monomial
-# objects by the oracle's grlex key and its own copies of the heap key, the
-# leading monomial and the Gebauer-Moller update, so it runs no packed code.
+# Fraction coefficients.  The reference decodes the packed keys with the
+# oracle's own arithmetic, orders and pairs them by the oracle's grlex key
+# and its own copies of the heap key, the leading monomial and the
+# Gebauer-Moller update, so it runs no packed code of the library.
 
 
 def ref_neg_key(key):
@@ -420,22 +426,24 @@ def ref_gm_update(gens, pairs, new, seq):
     (lcm key, sequence number, lcm, entry f, entry g)."""
     hm = new[0]
     nv = len(new[1].ctx)
-    lcms = [mono_lcm(hm, e[0]) for e in gens]
+    lcms = [mono_lcm(hm, e[0], nv) for e in gens]
     kept = [
         i
         for i, l1 in enumerate(lcms)
-        if not any(j != i and l2 != l1 and mono_divides(l2, l1) for j, l2 in enumerate(lcms))
+        if not any(
+            j != i and l2 != l1 and mono_divides(l2, l1, nv) for j, l2 in enumerate(lcms)
+        )
     ]
     seen = {}
     for i in kept:
-        seen.setdefault(lcms[i].exps, i)
-    kept = [i for i in seen.values() if not mono_coprime(hm, gens[i][0])]
+        seen.setdefault(dense(lcms[i], nv), i)
+    kept = [i for i in seen.values() if not mono_coprime(hm, gens[i][0], nv)]
     surviving = [
         pair
         for pair in pairs
-        if not mono_divides(hm, pair[2])
-        or mono_lcm(hm, pair[3][0]) == pair[2]
-        or mono_lcm(hm, pair[4][0]) == pair[2]
+        if not mono_divides(hm, pair[2], nv)
+        or mono_lcm(hm, pair[3][0], nv) == pair[2]
+        or mono_lcm(hm, pair[4][0], nv) == pair[2]
     ]
     surviving.extend(
         (grlex_key(lcms[i], nv), next(seq), lcms[i], gens[i], new) for i in kept
@@ -464,12 +472,12 @@ def ref_reduce(p, entries, budget):
             continue
         budget.spend()
         for hm, g in entries:
-            if mono_divides(hm, m):
-                shift = mono_div(m, hm)
+            if mono_divides(hm, m, nv):
+                shift = mono_div(m, hm, nv)
                 for gm, gc in g.terms.items():
                     if gm == hm:
                         continue
-                    t = mono_mul(gm, shift)
+                    t = mono_mul(gm, shift, nv)
                     prev = work.get(t)
                     if prev is None:
                         heapq.heappush(heap, (ref_neg_key(grlex_key(t, nv)), t))
@@ -483,8 +491,9 @@ def ref_reduce(p, entries, budget):
 
 
 def ref_s_poly(lf, f, lg, g, l):
-    mf = Poly(f.ctx, {mono_div(l, lf): Fraction(1)})
-    mg = Poly(g.ctx, {mono_div(l, lg): Fraction(1)})
+    nv = len(f.ctx)
+    mf = Poly(f.ctx, {mono_div(l, lf, nv): Fraction(1)})
+    mg = Poly(g.ctx, {mono_div(l, lg, nv): Fraction(1)})
     return mf * f - mg * g
 
 
@@ -578,7 +587,7 @@ def ref_poly(nvars, terms):
     """The polynomial of ``terms``, (exponents, numerator, denominator)."""
     out = {}
     for exps, num, den in terms:
-        m = Monomial(tuple(enumerate(exps)))
+        m = packed(exps)
         out[m] = out.get(m, Fraction(0)) + Fraction(num, den)
     return Poly(REFERENCE_CTXS[nvars], out)
 
