@@ -57,9 +57,11 @@ verdict = W.equivalent(m, m_out1)
 print(f"against the copy with output X = 1: {verdict.outcome.value}, "
       f"witness {verdict.witness!r}")
 
-# The closure constructions wire a fresh start nonterminal.
+# Closures start the model at a new configuration; f + f over one model
+# starts at 2*S, with no nonterminal added.
 double = W.sum_(m, m)
-print(f"\nf + f at aabb: {W.evaluate(double, double.start, 'aabb')}")
+print(f"\nf + f starts at {double.start}, value at aabb: "
+      f"{W.evaluate(double, double.start, 'aabb')}")
 
 # Unweighted processes embed by counting runs.
 spec = W.BppSpec({"S": (("a", ("X",)),), "X": (("a", ("X", "X")), ("b", ()))}, "S")

@@ -3,10 +3,10 @@
 A process model (letters, nonterminals, output weights) and a CDF system
 (axes, generators, initial vector) are the same data: generators, one
 derivation of their ring per letter or axis (the ops), and a point.
-``Wbpp`` and ``CdfSystem`` are views on a :class:`System`; union, adjoin,
-inverse, prune, fresh names, the packed fold of a word of ops and the
-decision are written here once.  The species compiler grows its system
-with the same :func:`adjoin` and :func:`union`.
+``Wbpp`` and ``CdfSystem`` are views on a :class:`System`; union, merge,
+adjoin, inverse, prune, fresh names, the packed fold of a word of ops and
+the decision are written here once.  The species compiler grows its
+system with the same :func:`adjoin` and :func:`union`.
 
 Polynomials move between contexts by variable id, never by name: each
 generator is kept, shifted or renumbered increasingly by
@@ -76,6 +76,19 @@ def union(first: System, second: System, suffixes=("_1", "_2")):
         lambda p: transport(p, ctx),
         lambda p: transport(p, ctx, shift),
     )
+
+
+def merge(parts):
+    """``(system, exprs)`` for the pairs ``parts``: the system all share, or
+    else their :func:`union` folded from the left, each expr moved into it."""
+    system = parts[0][0]
+    if all(s is system for s, _ in parts):
+        return system, [e for _, e in parts]
+    exprs = [parts[0][1]]
+    for s, e in parts[1:]:
+        system, lift1, lift2 = union(system, s)
+        exprs = [*map(lift1, exprs), lift2(e)]
+    return system, exprs
 
 
 def adjoin(system: System, stem: str, value, images):

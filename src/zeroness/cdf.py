@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimitExceeded,
 )
 from .groebner import DEFAULT_LIMITS
-from .poly import Context, Derivation, Poly, _packing
+from .poly import Context, Derivation, Poly, _packing, _poly
 from .series import TruncSeries, _exponents_of_degree
 
 
@@ -305,18 +305,12 @@ def zeroness(s: CdfSeries, limits=None) -> ZeroVerdict:
 
 
 def _shared(series_list):
-    """One system holding every series of the list, and each expression
-    moved into it: their own system when they all share one, else the
-    union of their systems, folded from the left."""
+    """The series' systems merged by :func:`_system.merge`, with their expressions."""
     first = series_list[0].system
-    if all(s.system is first for s in series_list):
-        return first, [s.expr for s in series_list]
-    sys, exprs = first, [series_list[0].expr]
-    for s in series_list[1:]:
-        core, lift1, lift2 = _system.union(sys.core, s.system.core)
-        sys = CdfSystem.of(first.base_names, core)
-        exprs = [lift1(e) for e in exprs] + [lift2(s.expr)]
-    return sys, exprs
+    core, exprs = _system.merge([(s.system.core, s.expr) for s in series_list])
+    if core is not first.core:
+        first = CdfSystem.of(first.base_names, core)
+    return first, exprs
 
 
 def equivalent(s1: CdfSeries, s2: CdfSeries, limits=None) -> ZeroVerdict:
@@ -451,7 +445,7 @@ def _restriction_of_poly(p: Poly, rec: MonoidRecognizer, target: Context, gname)
             bucket = out.setdefault(m, {})
             for k, a in acc.items():
                 bucket[k] = bucket.get(k, 0) + a
-    pieces = {m: Poly(target, t) for m, t in out.items()}
+    pieces = {m: _poly(target, t) for m, t in out.items()}
     return {m: q for m, q in pieces.items() if not q.is_zero()}
 
 

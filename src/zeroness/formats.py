@@ -6,8 +6,8 @@ identifiers, ``+ - * ^`` and parentheses; multiplication is always
 explicit.  The .cdf ``expr =`` line uses the same grammar plus
 ``restrict(e; phi)``.  ``#`` starts a comment everywhere.  Every
 malformed input raises ``ParseError``.  Printing is canonical
-(graded-lex descending terms), and print-then-parse reproduces a
-structurally identical model.
+(graded-lex descending terms), and print-then-parse reproduces an
+equivalent model, structurally identical unless it adjoins a start.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import cdf, constraints, species
+from . import _system, cdf, constraints, species
 from .errors import ParseError
 from .groebner import DEFAULT_LIMITS
 from .poly import Context, Poly
@@ -381,13 +381,16 @@ def parse_wbpp(text):
 
 
 def format_wbpp(m: Wbpp) -> str:
-    start_vars = sorted(m.start.variables())
-    if not (len(m.start.terms) == 1 and len(start_vars) == 1):
-        raise ParseError("only models starting at a single nonterminal can be printed")
+    """The ``.wbpp`` text of ``m``.  A start other than one nonterminal is
+    printed as a fresh one, U: Delta_a U = Delta_a start, same output."""
+    if m.start not in [m.ctx.var_by_id(v) for v in m.start.variables()]:
+        images = [op(m.start) for op in m.core.ops]
+        core, u = _system.adjoin(m.core, "U", m.start.eval(m.outputs), lambda f, _: map(f, images))
+        m = Wbpp.of(m.alphabet, core, u)
     lines = [
         "alphabet " + " ".join(m.alphabet),
         "nonterminals " + " ".join(m.ctx.names),
-        "start " + m.ctx.name_of(start_vars[0]),
+        "start " + m.ctx.name_of(min(m.start.variables())),
     ]
     for nt in m.ctx.names:
         lines.append(f"output {nt} = {m.output(nt)}")

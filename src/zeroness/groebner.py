@@ -32,6 +32,7 @@ from .poly import (  # noqa: F401 (_MAX_EXPONENT re-exported)
     _from_numerators,
     _over_common_denominator,
     _packing,
+    _poly,
 )
 
 
@@ -75,7 +76,7 @@ class GroebnerBasis:
         if self._generators is None:
             one = Fraction(1)
             self._generators = tuple(
-                Poly(self.ctx, {h: one, **{m: Fraction(c, d) for m, c in tail.items()}})
+                _poly(self.ctx, {h: one, **{m: Fraction(c, d) for m, c in tail.items()}})
                 for h, tail, d in self.entries
             )
         return self._generators

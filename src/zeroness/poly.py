@@ -75,16 +75,16 @@ class Context:
         return self.var_by_id(self.id_of(name))
 
     def var_by_id(self, vid: int) -> "Poly":
-        return Poly(self, {_packing(len(self)).var(vid): Fraction(1)})
+        return _poly(self, {_packing(len(self)).var(vid): Fraction(1)})
 
     def const(self, c) -> "Poly":
         c = Fraction(c)
         if c == 0:
-            return Poly(self, {})
-        return Poly(self, {0: c})
+            return _poly(self, {})
+        return _poly(self, {0: c})
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _poly(self, {})
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -177,6 +177,17 @@ class _Packing:
 
     def degree(self, x: int) -> int:
         return x >> self.top
+
+    def is_monomial(self, x) -> bool:
+        """Whether ``x`` is a packed monomial: a nonnegative ``int`` that
+        sets no guard bit, whose degree field is the sum of its exponent
+        fields."""
+        return (
+            isinstance(x, int)
+            and x >= 0
+            and not x & self.guards
+            and x >> self.top == sum(e for _, e in self.exponents(x))
+        )
 
     def divides(self, h: int, m: int) -> bool:
         guards = self.guards
@@ -342,6 +353,14 @@ class Poly:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: Context, terms: dict):
+        """The polynomial of ``ctx`` with ``terms``, zero coefficients
+        dropped.  Every key must be a packed monomial of the context
+        (:meth:`_Packing.is_monomial`); the library's kernels, whose keys
+        are monomials by construction, build through :func:`_poly`."""
+        packing = _packing(len(ctx))
+        for m in terms:
+            if not packing.is_monomial(m):
+                raise ValueError(f"{m!r} is not a packed monomial over {ctx!r}")
         self.ctx = ctx
         self.terms = {m: c for m, c in terms.items() if c != 0}
 
@@ -382,12 +401,12 @@ class Poly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, Fraction(0)) + c
-        return Poly(self.ctx, terms)
+        return _poly(self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, {m: -c for m, c in self.terms.items()})
+        return _poly(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -402,7 +421,7 @@ class Poly:
             c = _as_fraction(other)
             if c == 0:
                 return self.ctx.zero()
-            return Poly(self.ctx, {m: c * k for m, k in self.terms.items()})
+            return _poly(self.ctx, {m: c * k for m, k in self.terms.items()})
         self._check(other)
         (left,), d1 = _over_common_denominator(self.terms)
         (right,), d2 = _over_common_denominator(other.terms)
@@ -507,10 +526,19 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
+def _poly(ctx: Context, terms: dict) -> Poly:
+    """The polynomial of ``ctx`` with ``terms``, zero coefficients dropped,
+    its keys taken as packed monomials unchecked."""
+    p = object.__new__(Poly)
+    p.ctx = ctx
+    p.terms = {m: c for m, c in terms.items() if c != 0}
+    return p
+
+
 def _from_numerators(ctx: Context, packed: dict, den: int) -> Poly:
     """The polynomial of ``ctx`` whose terms are the ``int`` numerators
     ``packed`` over ``den``, in stored order."""
-    return Poly(ctx, {m: Fraction(c, den) for m, c in packed.items()})
+    return _poly(ctx, {m: Fraction(c, den) for m, c in packed.items()})
 
 
 def transport(p: Poly, target: Context, ids=None) -> Poly:
@@ -537,7 +565,7 @@ def transport(p: Poly, target: Context, ids=None) -> Poly:
                 raise packing.overflow(x)
         prev = out.get(x)
         out[x] = c if prev is None else prev + c
-    return Poly(target, out)
+    return _poly(target, out)
 
 
 @lru_cache(maxsize=1024)

@@ -6,7 +6,9 @@ Each letter acts on configurations (polynomials over the nonterminals)
 as a derivation of the polynomial ring, so reading a word rewrites the
 configuration; the output map, extended as a ring homomorphism, extracts
 the word's coefficient.  Products of nonterminals model parallel
-composition and the recognised series multiply by shuffle product.
+composition and the recognised series multiply by shuffle product, so
+the closures under scaling, sum, shuffle and the letter derivative only
+move the start; the shuffle inverse alone adjoins a nonterminal.
 
 A model is a view on the derivation system of ``_system``, read with
 letters for its ops and words for witnesses.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._saturation import ZeroVerdict
-from ._system import System, adjoin, decide, fold, fold_value, inverse, union
+from ._system import System, decide, fold, fold_value, inverse, merge
 from .errors import ArityMismatch, NotStandardForm, NotWellPosed, ResourceLimitExceeded
 from .groebner import DEFAULT_LIMITS
 from .poly import Context, Derivation, Poly, _from_numerators
@@ -206,18 +208,17 @@ def zeroness(m: Wbpp, config: Poly = None, limits=None) -> ZeroVerdict:
 
 def disjoint_union(m1: Wbpp, m2: Wbpp):
     """Union model over the united alphabet, where a letter one model
-    lacks acts as 0 on its nonterminals; nonterminals are renamed with
-    ``_1``/``_2`` suffixes.  Returns the model, started at the first
-    start, and both start configurations moved into it."""
+    lacks acts as 0 on its nonterminals (:func:`_system.merge`: distinct
+    cores are joined, nonterminals renamed ``_1``/``_2``).  Returns the
+    model, started at the first start, and both starts moved into it."""
     alphabet = m1.alphabet + tuple(a for a in m2.alphabet if a not in m1.alphabet)
 
     def padded(m):
         zero = Derivation(m.ctx, {})
         ops = [m.op(a) if a in m.alphabet else zero for a in alphabet]
-        return System(m.ctx, ops, m.outputs)
+        return m.core if m.alphabet == alphabet else System(m.ctx, ops, m.outputs)
 
-    core, lift1, lift2 = union(padded(m1), padded(m2))
-    s1, s2 = lift1(m1.start), lift2(m2.start)
+    core, (s1, s2) = merge([(padded(m1), m1.start), (padded(m2), m2.start)])
     return Wbpp.of(alphabet, core, s1), s1, s2
 
 
@@ -231,35 +232,23 @@ def equivalent(m1: Wbpp, m2: Wbpp, limits=None) -> ZeroVerdict:
 # Closure constructions -------------------------------------------------------
 
 
-def _started_at(m: Wbpp, expr: Poly) -> Wbpp:
-    """``m`` plus a fresh start U standing for the configuration ``expr``:
-    Delta_a U = Delta_a expr for every letter, and U outputs F(expr)."""
-    core, u = adjoin(
-        m.core,
-        "U",
-        output_value(m, expr),
-        lambda lift, _: [lift(op(expr)) for op in m.core.ops],
-    )
-    return Wbpp.of(m.alphabet, core, u)
-
-
 def scale(m: Wbpp, c) -> Wbpp:
-    return _started_at(m, m.start * Fraction(c))
+    return Wbpp.of(m.alphabet, m.core, m.start * Fraction(c))
 
 
 def sum_(m1: Wbpp, m2: Wbpp) -> Wbpp:
-    union_model, s1, s2 = disjoint_union(m1, m2)
-    return _started_at(union_model, s1 + s2)
+    m, s1, s2 = disjoint_union(m1, m2)
+    return Wbpp.of(m.alphabet, m.core, s1 + s2)
 
 
 def shuffle(m1: Wbpp, m2: Wbpp) -> Wbpp:
-    union_model, s1, s2 = disjoint_union(m1, m2)
-    return _started_at(union_model, s1 * s2)
+    m, s1, s2 = disjoint_union(m1, m2)
+    return Wbpp.of(m.alphabet, m.core, s1 * s2)
 
 
 def derive(m: Wbpp, letter) -> Wbpp:
     """Model of the left quotient: coefficients shift by the given letter."""
-    return _started_at(m, m.op(letter)(m.start))
+    return Wbpp.of(m.alphabet, m.core, m.op(letter)(m.start))
 
 
 def shuffle_inverse(m: Wbpp) -> Wbpp:

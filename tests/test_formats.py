@@ -143,6 +143,18 @@ delta b X = 1
     assert not any("output" in w for w in warnings2)
 
 
+@pytest.mark.parametrize("start", ["S", "2*S", "S^2", "S + X", "0", "1"])
+def test_wbpp_prints_any_start(start):
+    # the file format starts at one nonterminal: any other start is printed
+    # as a fresh nonterminal standing for it, with the same series
+    m = F.load_model(os.path.join(MODELS, "running.wbpp"))[1]
+    m = W.Wbpp.of(m.alphabet, m.core, F.parse_poly(start, m.ctx))
+    printed = F.format_wbpp(m)
+    again, _ = F.parse_wbpp(printed)
+    assert W.coeffs_up_to(again, again.start, 4) == W.coeffs_up_to(m, m.start, 4)
+    assert ("nonterminals S X\n" in printed) == (start == "S")
+
+
 def test_wbpp_output_must_be_constant():
     with pytest.raises(ParseError, match="line 4: expected a constant"):
         F.parse_wbpp("alphabet a\nnonterminals S\nstart S\noutput S = 1 + S\n")

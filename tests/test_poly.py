@@ -37,6 +37,19 @@ def test_add_identity(ctx):
     assert p + ctx.var("y") == ctx.var("x") ** 2
 
 
+def test_public_constructor_checks_its_keys(ctx):
+    y = ctx.var("y")
+    (key,) = y.terms
+    assert Poly(ctx, {key: Fraction(1)}) == y
+    assert Poly(ctx, {key: Fraction(0)}).is_zero()
+    guard = 1 << 31  # the guard bit of y's field
+    # no degree, degree without exponent, a guard bit, a wrong degree,
+    # negative, not an int
+    for bad in (1, key - 1, key + guard, packed((1, 0)) + key - 1, -key, "y"):
+        with pytest.raises(ValueError):
+            Poly(ctx, {bad: Fraction(1)})
+
+
 def test_mul_examples(ctx):
     x, y = ctx.var("x"), ctx.var("y")
     assert (x + y) * (x - y) == x**2 - y**2

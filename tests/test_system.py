@@ -40,6 +40,19 @@ def test_union_without_suffixes_renames_shared_names():
     assert lift2(second.ctx.var("a_")) == ctx.var("a__")
 
 
+def test_merge_keeps_a_shared_system_and_folds_distinct_ones():
+    first = system(["a"], {"a": lambda c: c.var("a")}, [1])
+    second = system(["a"], {"a": lambda c: c.const(2)}, [3])
+    x, y = first.ctx.var("a"), second.ctx.var("a")
+    assert _system.merge([(first, x), (first, x * 2)]) == (first, [x, x * 2])
+    merged, (e1, e2, e3) = _system.merge([(first, x), (second, y), (first, x + 1)])
+    # folded from the left: (first union second) union first
+    assert merged.ctx.names == ("a_1_1", "a_2_1", "a_2")
+    assert merged.point == tuple(map(Fraction, (1, 3, 1)))
+    ctx = merged.ctx
+    assert (e1, e2, e3) == (ctx.var("a_1_1"), ctx.var("a_2_1"), ctx.var("a_2") + 1)
+
+
 # Every move of a polynomial into another context renumbers its packed
 # monomials; each must equal the polynomial rebuilt in the target by
 # variable name, from Context.var arithmetic.

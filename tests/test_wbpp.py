@@ -3,8 +3,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import shuffle_coefficient
+from zeroness import formats as F
 from zeroness import wbpp as W
 from zeroness._saturation import Outcome
 from zeroness.errors import ArityMismatch, NotStandardForm, NotWellPosed, ResourceLimitExceeded
@@ -323,6 +326,69 @@ def test_closure_inverse():
     assert all(v == 0 for w, v in table.items() if w)
 
 
+@st.composite
+def small_models(draw, spawn=True):
+    """A process over one of three alphabets (so unions pad and reorder
+    letters) with one or two nonterminals, whose transitions and start are
+    sums of at most two small terms; a term may square a nonterminal (a
+    spawn) when ``spawn`` is set."""
+    alphabet = draw(st.sampled_from([("a", "b"), ("b", "a"), ("a",)]))
+    names = ["P", "Q"][: draw(st.integers(1, 2))]
+    ctx = Context(names)
+    monomials = [ctx.one(), *map(ctx.var, names)]
+    if spawn:
+        monomials.append(ctx.var(names[-1]) ** 2)
+
+    def poly():
+        terms = st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(monomials)), max_size=2)
+        return sum((c * m for c, m in draw(terms)), ctx.zero())
+
+    transitions = {(a, n): poly() for a in alphabet for n in names}
+    outputs = {n: draw(st.integers(-2, 2)) for n in names}
+    return W.Wbpp(alphabet, names, poly(), transitions, outputs)
+
+
+def word_values(m, length):
+    """Every word over a and b up to ``length`` -> its coefficient in
+    ``m``'s series, 0 for a word with a letter ``m`` lacks."""
+    return {
+        "".join(w): W.evaluate(m, m.start, w) if set(w) <= set(m.alphabet) else 0
+        for n in range(length + 1)
+        for w in product("ab", repeat=n)
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models(), small_models(), st.integers(-3, 3))
+def test_closures_agree_with_word_semantics(f, g, c):
+    fv, gv = word_values(f, 5), word_values(g, 4)
+    cases = [
+        (W.scale(f, c), lambda w: c * fv[w]),
+        (W.sum_(f, g), lambda w: fv[w] + gv[w]),
+        (W.shuffle(f, g), lambda w: shuffle_coefficient(fv, gv, w)),
+        (W.derive(f, "a"), lambda w: fv["a" + w]),
+    ]
+    for m, want in cases:
+        assert all(v == want(w) for w, v in word_values(m, 4).items())
+    if fv[""] != 0:
+        iv = word_values(W.shuffle_inverse(f), 4)
+        # f shuffled with its inverse is the series 1
+        assert all(shuffle_coefficient(fv, iv, w) == (w == "") for w in iv)
+
+
+# Without spawns each equivalence below saturates in milliseconds; with
+# them, about one draw in sixty runs for seconds and ends at a cap.
+@settings(max_examples=30, deadline=None)
+@given(small_models(spawn=False), small_models(spawn=False), st.integers(-3, 3))
+def test_closures_print_to_equivalent_models(f, g, c):
+    models = [W.scale(f, c), W.sum_(f, g), W.shuffle(f, g), W.derive(f, "a")]
+    if W.output_value(f, f.start) != 0:
+        models.append(W.shuffle_inverse(f))
+    for m in models:
+        printed, _ = F.parse_wbpp(F.format_wbpp(m))
+        assert W.equivalent(m, printed).outcome is Outcome.ZERO
+
+
 def test_closure_inverse_needs_constant():
     with pytest.raises(NotWellPosed):
         W.shuffle_inverse(running_example())
@@ -405,8 +471,11 @@ def test_commutative_check_cdf_derived():
 
 
 def test_resource_limits_inconclusive():
+    # m - m over one core is the configuration 0, decided with no work, so
+    # the negation comes from a second copy of the model
     m = running_example()
-    diff = W.sum_(m, W.scale(m, -1))
+    assert W.sum_(m, W.scale(m, -1)).start.is_zero()
+    diff = W.sum_(m, W.scale(running_example(), -1))
     # Degree 2 lets the pruned saturation finish; degree 1 cannot even
     # form the squared configurations, so it must fail loudly.
     assert W.zeroness(diff, limits=GroebnerLimits(max_degree=2)).outcome is Outcome.ZERO
@@ -458,9 +527,9 @@ def test_pruning_unreachable_nonterminals_keeps_verdicts(limits):
             assert W.equivalent(other, full, limits) == W.equivalent(
                 other, trimmed, limits
             )
-    diff = W.sum_(full, W.scale(full, -1))
+    diff = W.sum_(full, W.scale(with_unreachable_nonterminals(fx), -1))
     assert W.zeroness(diff, limits=limits) == W.zeroness(
-        W.sum_(trimmed, W.scale(trimmed, -1)), limits=limits
+        W.sum_(trimmed, W.scale(running_example(fx), -1)), limits=limits
     )
 
 
