@@ -26,7 +26,7 @@ from math import comb
 from . import _system
 from ._saturation import ZeroVerdict
 from ._system import System, fresh, transport
-from .constraints import MonoidRecognizer, recognizer, validate
+from .constraints import MonoidRecognizer, recognizer
 from .errors import (
     ArityMismatch,
     NotComposable,
@@ -451,12 +451,11 @@ def _restriction_of_poly(p: Poly, rec: MonoidRecognizer, target: Context, gname)
 
 def restrict_regular(s: CdfSeries, constraint) -> CdfSeries:
     """Zero out all coefficients whose exponent vector violates the
-    constraint.  One generator copy per (generator, monoid element); the
-    kernel pushes each column down to the classes that step into the
-    target class along the axis."""
+    constraint.  One generator copy per (generator, monoid element); along
+    an axis, each element's piece of an entry goes to the copy of the
+    element it steps to."""
     s = prune(s)
     sys = s.system
-    validate(constraint, sys.dim)
     rec = recognizer(constraint, sys.dim)
 
     def gname(vid, m):
@@ -466,17 +465,16 @@ def restrict_regular(s: CdfSeries, constraint) -> CdfSeries:
     target = Context(names)
     kernel = {}
     for j, op in enumerate(sys.core.ops, start=1):
+        step = rec.images[j - 1]
         for v, p in op.images.items():
             pieces = _restriction_of_poly(p, rec, target, gname)
-            step = rec.images[j - 1]
-            for m in range(rec.size):
-                sources = [mp for mp in range(rec.size) if rec.add(mp, step) == m]
-                total = target.zero()
-                for mp in sources:
-                    if mp in pieces:
-                        total = total + pieces[mp]
-                if not total.is_zero():
-                    kernel[(gname(v, m), j)] = total
+            totals = {}
+            for mp in sorted(pieces):
+                m = rec.add(mp, step)
+                totals[m] = totals.get(m, target.zero()) + pieces[mp]
+            for m in sorted(totals):
+                if not totals[m].is_zero():
+                    kernel[(gname(v, m), j)] = totals[m]
     init = []
     for v in range(sys.order):
         for m in range(rec.size):

@@ -1,18 +1,23 @@
 """Support constraints over exponent vectors and their monoid recognizers.
 
-The constraint grammar has per-coordinate atoms (equality with a constant,
-congruence modulo m >= 1) and boolean connectives.  A constraint denotes a
-subset of N^d; every such set is recognized by a finite commutative monoid
-(threshold monoids for equalities, cyclic monoids for congruences, product
-monoids for conjunction, complemented accepting sets for negation), which
-is the form the series-restriction construction consumes.
+The constraint grammar has per-axis atoms (equality with a constant,
+congruence modulo m >= 1) and boolean connectives; a constraint denotes a
+subset of N^d.  Every atom reads one axis, so per-axis counters decide
+membership: each counts exactly up to one past the axis' largest equality
+constant, then cycles modulo the lcm of its moduli.  :func:`recognizer`
+builds the monoid of counter vectors and merges the vectors that no
+translate tells apart (the coarsest stable partition, Hopcroft 1971).  The
+result is the minimal finite commutative monoid recognizing the set, the
+form the series-restriction construction consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import lcm, prod
 
-from .errors import ConstraintError
+from .errors import ConstraintError, ResourceLimitExceeded
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,16 @@ def ge(axis: int, n: int):
 
 
 def le(axis: int, n: int):
-    """Sugar: z_axis <= n."""
-    expr = Eq(axis, 0)
-    for v in range(1, n + 1):
-        expr = Or(expr, Eq(axis, v))
-    return expr
+    """Sugar: z_axis <= n, a balanced disjunction of the equalities
+    z_axis == v for v = 0..n, so its depth is logarithmic in n."""
+
+    def span(lo, hi):  # z_axis == v for lo <= v < hi
+        if hi - lo == 1:
+            return Eq(axis, lo)
+        mid = (lo + hi + 1) // 2
+        return Or(span(lo, mid), span(mid, hi))
+
+    return span(0, n + 1) if n >= 0 else Not(TRUE)
 
 
 def and_all(exprs):
@@ -142,52 +152,22 @@ class MonoidRecognizer:
     """A finite commutative monoid with a homomorphism from N^d and an
     accepting subset; recognizes the preimage of the accepting set.
 
-    Elements are indices 0..size-1.  :func:`recognizer` checks the monoid
-    laws on the trimmed result (:meth:`check_laws`).
+    Elements are indices 0..size-1, numbered by the first counter vector
+    (axis 1 most significant) that maps to each, so the identity is 0.
+    ``images[i]`` is the image of the unit vector on axis i + 1.  The
+    monoid is the quotient of a counter monoid by a congruence, so the laws
+    hold by construction, and it is minimal: no two elements accept under
+    the same translates.
     """
 
     __slots__ = ("size", "table", "identity", "images", "accepting")
 
     def __init__(self, size, table, identity, images, accepting):
         self.size = size
-        self.table = [list(row) for row in table]
+        self.table = table
         self.identity = identity
         self.images = tuple(images)
         self.accepting = frozenset(accepting)
-
-    def check_laws(self):
-        """Raise :class:`ConstraintError` unless the table is a commutative
-        monoid with the axis images inside it.
-
-        Associativity is Light's test: (a*g)*c = a*(g*c) for every a, c and
-        every g of a generating set, here the distinct axis images and each
-        element not reachable from the identity through them.  The elements
-        g passing the test are closed under the product, and the identity
-        passes, so they are the whole monoid."""
-        n = self.size
-        t = self.table
-        for m in self.images:
-            if not 0 <= m < n:
-                raise ConstraintError("axis image outside the monoid")
-        for a in range(n):
-            if t[self.identity][a] != a or t[a][self.identity] != a:
-                raise ConstraintError("identity law fails")
-        for a in range(n):
-            for b in range(n):
-                if t[a][b] != t[b][a]:
-                    raise ConstraintError("commutativity fails")
-        generators = set(self.images)
-        generators |= set(range(n)) - _reachable(self.identity, generators, self.add)
-        for g in generators:
-            for a in range(n):
-                ag, row = t[a][g], t[a]
-                for c in range(n):
-                    if t[ag][c] != row[t[g][c]]:
-                        raise ConstraintError("associativity fails")
-
-    @property
-    def dim(self):
-        return len(self.images)
 
     def add(self, a, b):
         return self.table[a][b]
@@ -196,131 +176,103 @@ class MonoidRecognizer:
         return f"MonoidRecognizer(size={self.size}, accepting={sorted(self.accepting)})"
 
 
-def _reachable(start, steps, mul):
-    """The elements ``start * s_1 * ... * s_r`` for steps s_i in ``steps``,
-    multiplied by ``mul``."""
-    reached = {start}
-    frontier = [start]
-    while frontier:
-        a = frontier.pop()
-        for g in steps:
-            b = mul(a, g)
-            if b not in reached:
-                reached.add(b)
-                frontier.append(b)
-    return reached
-
-
-def _threshold_monoid(dim, axis, value):
-    # Elements 0..value track the exact coordinate, value+1 is "overflow".
-    size = value + 2
-    inf = value + 1
-
-    def add(a, b):
-        if a == inf or b == inf or a + b > value:
-            return inf
-        return a + b
-
-    table = [[add(a, b) for b in range(size)] for a in range(size)]
-    images = [(1 if value >= 1 else inf) if j == axis - 1 else 0 for j in range(dim)]
-    return MonoidRecognizer(size, table, 0, images, {value})
-
-
-def _cyclic_monoid(dim, axis, residue, modulus):
-    table = [[(a + b) % modulus for b in range(modulus)] for a in range(modulus)]
-    images = [1 % modulus if j == axis - 1 else 0 for j in range(dim)]
-    return MonoidRecognizer(modulus, table, 0, images, {residue % modulus})
-
-
-def _product(m1: MonoidRecognizer, m2: MonoidRecognizer, union: bool):
-    """The product monoid over the pairs reachable from the identity
-    through the axis images.  They form a submonoid, the only part
-    :func:`_trim` keeps, so the rest is never built; the pairs keep their
-    order in the full product, so the trimmed result is the same."""
-    t1, t2 = m1.table, m2.table
-
-    def mul(a, b):
-        return t1[a[0]][b[0]], t2[a[1]][b[1]]
-
-    steps = set(zip(m1.images, m2.images))
-    elems = sorted(_reachable((m1.identity, m2.identity), steps, mul))
-    idx = {e: i for i, e in enumerate(elems)}
-    table = [[idx[mul(a, b)] for b in elems] for a in elems]
-    if union:
-        accepting = {
-            idx[(a, b)] for (a, b) in elems if a in m1.accepting or b in m2.accepting
-        }
-    else:
-        accepting = {
-            idx[(a, b)] for (a, b) in elems if a in m1.accepting and b in m2.accepting
-        }
-    images = [idx[(m1.images[j], m2.images[j])] for j in range(m1.dim)]
-    return MonoidRecognizer(
-        len(elems), table, idx[(m1.identity, m2.identity)], images, accepting
-    )
-
-
-def _trim(m: MonoidRecognizer) -> MonoidRecognizer:
-    """Restrict to the submonoid reachable from the axis images, then merge
-    elements indistinguishable under every reachable translate (a monoid
-    congruence, so the quotient still recognizes the same set)."""
-    order = sorted(_reachable(m.identity, set(m.images), m.add))
-    # Partition refinement over the reachable submonoid: split until no
-    # reachable translate distinguishes two elements of one block.
-    fresh = {}
-    block = {}
-    for a in order:
-        key = a in m.accepting
-        fresh.setdefault(key, len(fresh))
-        block[a] = fresh[key]
-    while True:
-        fresh = {}
-        new_block = {}
-        for a in order:
-            key = (block[a], tuple(block[m.table[a][b]] for b in order))
-            fresh.setdefault(key, len(fresh))
-            new_block[a] = fresh[key]
-        stable = len(fresh) == len(set(block.values()))
-        block = new_block
-        if stable:
-            break
-    classes = sorted(set(block.values()))
-    remap = {c: i for i, c in enumerate(classes)}
-    rep = {}
-    for a in order:
-        rep.setdefault(remap[block[a]], a)
-    size = len(classes)
-    table = [
-        [remap[block[m.table[rep[i]][rep[j]]]] for j in range(size)]
-        for i in range(size)
-    ]
-    images = [remap[block[m.images[j]]] for j in range(m.dim)]
-    accepting = {remap[block[a]] for a in order if a in m.accepting}
-    return MonoidRecognizer(size, table, remap[block[m.identity]], images, accepting)
+# Each element of a recognizer becomes one generator copy per generator of
+# the restricted series, so a larger counter monoid is refused before any
+# of its counter vectors is built.
+MAX_RECOGNIZER_SIZE = 1024
 
 
 def recognizer(expr, dim: int) -> MonoidRecognizer:
-    """Compile a constraint of the given dimension to a trimmed recognizer."""
+    """Compile a constraint of the given dimension to its minimal recognizer.
+
+    Axis i counts exactly below t_i, one past its largest equality constant,
+    and then cycles modulo p_i, the lcm of its moduli.  A counter vector s
+    with s_i < t_i + p_i is its own smallest representative, so it accepts
+    iff ``contains(expr, s)``.  Merging the vectors that no translate tells
+    apart gives the minimal monoid; its table adds class representatives
+    one unit step at a time."""
     validate(expr, dim)
-    rec = _trim(_build(expr, dim))
-    rec.check_laws()
-    return rec
+    thresholds, periods = [0] * dim, [1] * dim
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Eq):
+            thresholds[e.axis - 1] = max(thresholds[e.axis - 1], e.value + 1)
+        elif isinstance(e, ModEq):
+            periods[e.axis - 1] = lcm(periods[e.axis - 1], e.modulus)
+        elif isinstance(e, (And, Or)):
+            stack += (e.left, e.right)
+        elif isinstance(e, Not):
+            stack.append(e.child)
+    radix = [t + p for t, p in zip(thresholds, periods)]
+    size = prod(radix)
+    if size > MAX_RECOGNIZER_SIZE:
+        raise ResourceLimitExceeded("recognizer_size", size, MAX_RECOGNIZER_SIZE)
 
+    vectors = list(product(*map(range, radix)))  # axis 1 most significant
+    strides = [prod(radix[i + 1 :]) for i in range(dim)]
 
-def _build(expr, dim):
-    if isinstance(expr, Eq):
-        return _threshold_monoid(dim, expr.axis, expr.value)
-    if isinstance(expr, ModEq):
-        return _cyclic_monoid(dim, expr.axis, expr.residue, expr.modulus)
-    if isinstance(expr, And):
-        return _product(_trim(_build(expr.left, dim)), _trim(_build(expr.right, dim)), False)
-    if isinstance(expr, Or):
-        return _product(_trim(_build(expr.left, dim)), _trim(_build(expr.right, dim)), True)
-    if isinstance(expr, Not):
-        m = _build(expr.child, dim)
-        return MonoidRecognizer(
-            m.size, m.table, m.identity, m.images, set(range(m.size)) - m.accepting
+    def index(vector):
+        return sum(
+            stride * (z if z < t else t + (z - t) % p)
+            for z, t, p, stride in zip(vector, thresholds, periods, strides)
         )
-    if isinstance(expr, TrueExpr):
-        return MonoidRecognizer(1, [[0]], 0, [0] * dim, {0})
-    raise ConstraintError(f"not a constraint expression: {expr!r}")
+
+    steps = [
+        [index(s[:i] + (s[i] + 1,) + s[i + 1 :]) for s in vectors] for i in range(dim)
+    ]
+    accepts = [contains(expr, s) for s in vectors]
+    block = _coarsest_partition(accepts, steps)
+    number, firsts = {}, []
+    for k, b in enumerate(block):
+        if b not in number:
+            number[b] = len(firsts)
+            firsts.append(k)
+    cls = [number[b] for b in block]
+    # The row of a representative r with r_i > 0 is the row of r - e_i,
+    # an earlier class, stepped once along axis i.
+    class_steps = [[cls[step[k]] for k in firsts] for step in steps]
+    table = [list(range(len(firsts)))]
+    for k in firsts[1:]:
+        i = next(i for i, z in enumerate(vectors[k]) if z)
+        table.append([class_steps[i][c] for c in table[cls[k - strides[i]]]])
+    images = [cls[step[0]] for step in steps]
+    accepting = {cls[k] for k, a in enumerate(accepts) if a}
+    return MonoidRecognizer(len(firsts), table, 0, images, accepting)
+
+
+def _coarsest_partition(accepts, steps):
+    """The coarsest partition of the states 0..n-1 that separates accepting
+    from rejecting states and is stable under every step map, as a list of
+    block ids.  Hopcroft's refinement: each block that splits requeues only
+    its smaller half unless it is still queued, so the number of passes does
+    not grow with the length of a cycle."""
+    n = len(accepts)
+    preimages = [[[] for _ in range(n)] for _ in steps]
+    for pre, step in zip(preimages, steps):
+        for k, target in enumerate(step):
+            pre[target].append(k)
+    block = [0 if a else 1 for a in accepts]
+    blocks = [[k for k in range(n) if block[k] == b] for b in (0, 1)]
+    queued = {0, 1}
+    while queued:
+        splitter = blocks[queued.pop()]
+        for pre in preimages:
+            hit = {}
+            for k in splitter:
+                for j in pre[k]:
+                    hit.setdefault(block[j], set()).add(j)
+            for b, inside in hit.items():
+                if len(inside) == len(blocks[b]):
+                    continue
+                outside = [k for k in blocks[b] if k not in inside]
+                new = len(blocks)
+                blocks[b] = outside
+                blocks.append(list(inside))
+                for k in inside:
+                    block[k] = new
+                if b in queued or len(inside) <= len(outside):
+                    queued.add(new)
+                else:
+                    queued.add(b)
+    return block

@@ -9,7 +9,12 @@ from zeroness import cdf as C
 from zeroness import constraints as K
 from zeroness import wbpp as W
 from zeroness._saturation import Outcome
-from zeroness.errors import ArityMismatch, ConstraintError, NotComposable, NotWellPosed
+from zeroness.errors import (
+    ArityMismatch,
+    NotComposable,
+    NotWellPosed,
+    ResourceLimitExceeded,
+)
 from zeroness.groebner import GroebnerLimits
 from zeroness.poly import Context
 from zeroness.series import TruncSeries
@@ -205,19 +210,60 @@ def test_restrict_true_is_identity():
     assert C.coeff_table(r, 6) == C.coeff_table(s, 6)
 
 
-def test_check_laws_rejects_a_non_associative_table(monkeypatch):
-    # commutative with identity 0, but (1*1)*2 = 2 while 1*(1*2) = 1
-    table = [[0, 1, 2], [1, 2, 0], [2, 0, 2]]
-    # every element reached from the axis image, or none but the identity
-    for images in ([1], [0]):
-        with pytest.raises(ConstraintError, match="associativity fails"):
-            K.MonoidRecognizer(3, table, 0, images, {0}).check_laws()
-    cyclic = [[(a + b) % 3 for b in range(3)] for a in range(3)]
-    K.MonoidRecognizer(3, cyclic, 0, [1], {0}).check_laws()
-    # recognizer() checks what it returns
-    monkeypatch.setattr(K, "_build", lambda expr, dim: K.MonoidRecognizer(3, table, 0, [1], {0}))
-    with pytest.raises(ConstraintError, match="associativity fails"):
-        K.recognizer(K.TRUE, 1)
+def _oracle_constraint(rng, dim, atoms):
+    if atoms == 1:
+        axis = rng.randint(1, dim)
+        if rng.random() < 0.5:
+            expr = K.Eq(axis, rng.randint(0, 4))
+        else:
+            expr = K.ModEq(axis, rng.randint(0, 5), rng.randint(1, 4))
+    else:
+        k = rng.randint(1, atoms - 1)
+        connective = K.And if rng.random() < 0.5 else K.Or
+        expr = connective(
+            _oracle_constraint(rng, dim, k), _oracle_constraint(rng, dim, atoms - k)
+        )
+    return K.Not(expr) if rng.random() < 0.3 else expr
+
+
+def _elements_of_box(rec, side):
+    """The element of every vector of {0..side-1}^dim, built up from the
+    axis images."""
+    elements = {}
+    for vector in product(range(side), repeat=len(rec.images)):
+        axis = next((i for i, z in enumerate(vector) if z), None)
+        if axis is None:
+            elements[vector] = rec.identity
+        else:
+            before = vector[:axis] + (vector[axis] - 1,) + vector[axis + 1 :]
+            elements[vector] = rec.add(elements[before], rec.images[axis])
+    return elements
+
+
+def test_recognizer_against_an_oracle():
+    rng = random.Random(18)
+    for trial in range(80):
+        dim = rng.randint(1, 3)
+        expr = _oracle_constraint(rng, dim, rng.randint(1, 4))
+        rec = K.recognizer(expr, dim)
+        n, t, e = rec.size, rec.table, rec.identity
+        # agreement with the direct semantics; an axis counts exactly up to
+        # at most 5 and then cycles with a period of at most 12, so the box
+        # reaches every element
+        elements = _elements_of_box(rec, 17)
+        for vector, element in elements.items():
+            assert (element in rec.accepting) == K.contains(expr, vector), (trial, expr)
+        assert set(elements.values()) == set(range(n)), (trial, expr)
+        # the monoid laws
+        assert len(t) == n and all(len(row) == n for row in t)
+        assert all(t[e][a] == a == t[a][e] for a in range(n))
+        assert all(t[a][b] == t[b][a] for a in range(n) for b in range(n))
+        assert all(
+            t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n)
+        ), (trial, expr)
+        # minimality: every element has its own set of accepting translates
+        translates = {tuple(t[a][b] in rec.accepting for b in range(n)) for a in range(n)}
+        assert len(translates) == n, (trial, expr)
 
 
 def test_recognizer_of_a_large_modulus():
@@ -226,16 +272,51 @@ def test_recognizer_of_a_large_modulus():
 
 
 def test_recognizer_of_a_large_threshold():
-    # z1 >= 64 is 64 nested Ors; each product is built only over the pairs
-    # reachable from the identity, not as the full table
+    # z1 >= 64 counts z1 exactly up to 64 and no further: 65 elements
     expr = K.ge(1, 64)
     start = time.perf_counter()
     rec = K.recognizer(expr, 1)
     assert time.perf_counter() - start < 5
+    assert rec.size == 65
     element = rec.identity
     for n in range(71):
         assert (element in rec.accepting) == K.contains(expr, (n,))
         element = rec.add(element, rec.images[0])
+
+
+def test_recognizer_of_ge_512_is_fast():
+    start = time.perf_counter()
+    rec = K.recognizer(K.ge(1, 512), 1)
+    assert time.perf_counter() - start < 1
+    assert (rec.size, rec.images, rec.accepting) == (513, (1,), {512})
+
+
+def test_large_thresholds_are_shallow_trees():
+    expr = K.ge(1, 1000)
+    assert str(expr).startswith("!(") and str(expr).count("==") == 1000
+    K.validate(expr, 1)
+    assert [K.contains(expr, (n,)) for n in (0, 999, 1000, 5000)] == [False, False, True, True]
+    rec = K.recognizer(expr, 1)
+    assert (rec.size, rec.accepting) == (1001, {1000})
+    assert str(K.le(1, 2)) == "((z1 == 0 || z1 == 1) || z1 == 2)"
+
+
+def test_recognizer_size_is_capped():
+    # 64 * 16 counter vectors are allowed; one more counter value is not
+    rec = K.recognizer(K.And(K.ModEq(1, 0, 64), K.ModEq(2, 0, 16)), 2)
+    assert rec.size == 64 * 16
+    for expr, dim, size in (
+        (K.Eq(1, 1023), 1, 1025),
+        (K.Or(K.ModEq(1, 0, 61), K.ModEq(1, 0, 64)), 1, 61 * 64),
+        (K.And(K.ge(1, 64), K.And(K.ge(2, 64), K.ge(3, 64))), 3, 65**3),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitExceeded) as info:
+            K.recognizer(expr, dim)
+        assert time.perf_counter() - start < 1
+        assert (info.value.cap, info.value.value, info.value.limit) == (
+            "recognizer_size", size, K.MAX_RECOGNIZER_SIZE
+        )
 
 
 def test_restrict_exp_to_single_degree():

@@ -284,6 +284,28 @@ def test_huge_products_are_parse_errors(tmp_path):
         assert "degree cap" in err
 
 
+@pytest.mark.parametrize(
+    "constraint, size",
+    [
+        ("z1 % 61 == 0 || z1 % 64 == 0", 61 * 64),
+        ("z1 % 61 == 0 || z1 % 64 == 0 || z1 % 59 == 0", 59 * 61 * 64),
+    ],
+    ids=["lcm-3904", "lcm-230336"],
+)
+def test_large_recognizer_is_a_resource_limit(tmp_path, constraint, size):
+    # each constant is within the degree cap, but the moduli's lcm is not
+    path = tmp_path / "restricted.cdf"
+    path.write_text(f"vars x1\ngens e\ninit e = 1\nd/dx1 e = e\nexpr = restrict(e; {constraint})\n")
+    start = time.perf_counter()
+    code, out, err = run("check", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert err == (
+        f"INCONCLUSIVE_RESOURCE_LIMIT (resource cap 'recognizer_size' exceeded: {size} > 1024)\n"
+    )
+
+
 WBPP_HEAD = "alphabet a\nnonterminals S\nstart S\n"
 CDF_HEAD = "vars x1\ngens s\ninit s = 1\nd/dx1 s = s\n"
 
