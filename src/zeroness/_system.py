@@ -177,17 +177,19 @@ def fold(start: Poly, word):
 
 def fold_value(start: Poly, word, point) -> Fraction:
     """The value at ``point`` of :func:`fold`'s polynomial.  Every letter
-    but the last is folded; the last is evaluated in one pass at the dual
-    point a + ε·w, w its images' values at the point
-    (:meth:`Derivation._apply_at`), so its polynomial, the largest, is
-    never built, and an exponent cap fires only in the folds that are."""
+    but the last two is folded; those two are evaluated in one pass at a
+    second-order jet of the point (:meth:`Derivation._apply_at`), so the
+    two largest polynomials are never built, and an exponent cap fires
+    only in the folds that are."""
     word = list(word)
-    packing, packed, den = fold(start, word[:-1])
+    for op in word[-2:]:
+        _check_context(op, start)
+    packing, packed, den = fold(start, word[:-2])
     at = packing.point(point)
     if not word:
         return _evaluate(packed, den, at, packing)
-    _check_context(word[-1], start)
-    return word[-1]._apply_at(packed, den, packing, at)
+    first = word[-2] if len(word) > 1 else None
+    return word[-1]._apply_at(packed, den, packing, at, first)
 
 
 def _check_context(op: Derivation, start: Poly):

@@ -26,7 +26,6 @@ from math import comb
 from . import _system
 from ._saturation import ZeroVerdict
 from ._system import System, fresh, transport
-from .constraints import MonoidRecognizer, recognizer
 from .errors import (
     ArityMismatch,
     NotComposable,
@@ -196,11 +195,13 @@ def lie_derivative(sys: CdfSystem, j: int, p: Poly) -> Poly:
 def coeff_via_lie(s: CdfSeries, n) -> Fraction:
     """Coefficient extraction by the exchange rule: fold one Lie derivative
     per unit of each exponent, then evaluate at the initial vector, packed
-    throughout (:func:`_system.fold_value`).  The last derivative is not
-    folded: it is evaluated in one pass at the dual point a + ε·w, a the
-    initial vector and w its images' values there, so an exponent cap
-    fires only in the folds before it.  Any word with the right Parikh
-    image works; axes are folded in order.
+    throughout (:func:`_system.fold_value`).  The last two derivatives
+    are not folded: they are evaluated in one pass at a second-order jet
+    of the initial vector a, a + ε1·A + ε2·B + ε1ε2·C, where A and B are
+    their images' values at a and C the last one's derivative of the
+    other's images there, so an exponent cap fires only in the folds
+    before them.  Any word with the right Parikh image works; axes are
+    folded in order.
     Every exponent must be nonnegative."""
     n = tuple(n)
     if len(n) != s.dim:
@@ -420,12 +421,20 @@ def compose_strong(f: CdfSeries, gs) -> CdfSeries:
 # Regular support restriction ------------------------------------------------------
 
 
-def _restriction_of_poly(p: Poly, rec: MonoidRecognizer, target: Context, gname):
+# A degree-k monomial splits into up to size^k terms over a recognizer of
+# ``size`` elements, so the terms a restriction's pieces are built from are
+# counted, and a restriction past this many is refused before it builds them.
+MAX_RESTRICTION_TERMS = 200_000
+
+
+def _restriction_of_poly(p: Poly, rec, target: Context, gname, built):
     """Push a restriction through a polynomial: a map from monoid element
     m to the m-part, where variables split into indexed copies, constants
     sit at the identity, and products convolve over the monoid.  The
     parts convolve packed monomials; a copy's exponent is at most its
-    variable's, so none grows past the input's."""
+    variable's, so none grows past the input's.  ``built[0]`` counts the
+    terms the restriction has built so far; each convolution adds its
+    terms to it before it builds them."""
     exponents, packing = _packing(len(p.ctx)).exponents, _packing(len(target))
     out = {}
     for mono, c in p.terms.items():
@@ -433,6 +442,11 @@ def _restriction_of_poly(p: Poly, rec: MonoidRecognizer, target: Context, gname)
         for v, e in exponents(mono):
             copies = [packing.var(target.id_of(gname(v, m_f))) for m_f in range(rec.size)]
             for _ in range(e):
+                built[0] += rec.size * sum(map(len, parts.values()))
+                if built[0] > MAX_RESTRICTION_TERMS:
+                    raise ResourceLimitExceeded(
+                        "restriction_terms", built[0], MAX_RESTRICTION_TERMS
+                    )
                 nxt = {}
                 for m_acc, acc in parts.items():
                     for m_f, x in enumerate(copies):
@@ -453,10 +467,15 @@ def restrict_regular(s: CdfSeries, constraint) -> CdfSeries:
     """Zero out all coefficients whose exponent vector violates the
     constraint.  One generator copy per (generator, monoid element); along
     an axis, each element's piece of an entry goes to the copy of the
-    element it steps to."""
+    element it steps to.  A restriction whose pieces take more than
+    :data:`MAX_RESTRICTION_TERMS` terms raises
+    :class:`ResourceLimitExceeded` with cap ``'restriction_terms'``."""
+    from .constraints import recognizer
+
     s = prune(s)
     sys = s.system
     rec = recognizer(constraint, sys.dim)
+    built = [0]
 
     def gname(vid, m):
         return f"{sys.ctx.name_of(vid)}_c{m}"
@@ -467,7 +486,7 @@ def restrict_regular(s: CdfSeries, constraint) -> CdfSeries:
     for j, op in enumerate(sys.core.ops, start=1):
         step = rec.images[j - 1]
         for v, p in op.images.items():
-            pieces = _restriction_of_poly(p, rec, target, gname)
+            pieces = _restriction_of_poly(p, rec, target, gname, built)
             totals = {}
             for mp in sorted(pieces):
                 m = rec.add(mp, step)
@@ -481,12 +500,13 @@ def restrict_regular(s: CdfSeries, constraint) -> CdfSeries:
             init.append(sys.init[v] if m == rec.identity else Fraction(0))
     restricted = CdfSystem.of(sys.base_names, _kernel_core(target, sys.dim, kernel, init))
 
-    expr_pieces = _restriction_of_poly(s.expr, rec, restricted.ctx, gname)
-    expr = restricted.ctx.zero()
+    expr_pieces = _restriction_of_poly(s.expr, rec, restricted.ctx, gname, built)
+    # the pieces share no monomial: each monomial's copies add up to its piece
+    terms = {}
     for m in rec.accepting:
         if m in expr_pieces:
-            expr = expr + expr_pieces[m]
-    return CdfSeries(restricted, expr)
+            terms.update(expr_pieces[m].terms)
+    return CdfSeries(restricted, _poly(restricted.ctx, terms))
 
 
 # Implicit systems ------------------------------------------------------------------

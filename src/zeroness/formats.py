@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import _system, cdf, constraints, species
+from . import _system, cdf, species
 from .errors import ParseError
 from .groebner import DEFAULT_LIMITS
 from .poly import Context, Poly
@@ -227,7 +227,13 @@ def parse_constraint(text, line=None):
     return _parse_all(_constraint_or, text, line)
 
 
+# The constraint grammar imports ``constraints`` where it builds a node, so
+# a file without a restriction never loads it.
+
+
 def _constraint_or(ts):
+    from . import constraints
+
     c = _constraint_and(ts)
     while ts.peek() == "||":
         ts.next()
@@ -236,6 +242,8 @@ def _constraint_or(ts):
 
 
 def _constraint_and(ts):
+    from . import constraints
+
     c = _constraint_not(ts)
     while ts.peek() == "&&":
         ts.next()
@@ -244,6 +252,8 @@ def _constraint_and(ts):
 
 
 def _constraint_not(ts):
+    from . import constraints
+
     if ts.peek() == "!":
         ts.next()
         return constraints.Not(_constraint_not(ts))
@@ -255,10 +265,13 @@ def _constraint_not(ts):
     return _constraint_atom(ts)
 
 
-_COMPARISONS = {"==": constraints.Eq, ">=": constraints.ge, "<=": constraints.le}
+# the constructor of each comparison, by its name in ``constraints``
+_COMPARISONS = {"==": "Eq", ">=": "ge", "<=": "le"}
 
 
 def _constraint_atom(ts):
+    from . import constraints
+
     tok = ts.next()
     if tok == "true":
         return constraints.TRUE
@@ -280,7 +293,7 @@ def _constraint_atom(ts):
         ts.fail(f"unknown comparison {op!r}")
     bound = _integer(ts, "bound")
     ts.cap(bound, "a bound of")
-    return _COMPARISONS[op](axis, bound)
+    return getattr(constraints, _COMPARISONS[op])(axis, bound)
 
 
 # Shared line handling --------------------------------------------------------------

@@ -14,8 +14,10 @@ the library.  Build polynomials from :meth:`Context.var` and
 (:func:`zeroness.formats.parse_poly`).  Products (:func:`_multiply`, also
 behind powers and substitution), derivation application
 (:meth:`Derivation._apply`), evaluation (:func:`_evaluate`) and
-evaluation at a dual point (:func:`_evaluate_dual`) are written once, as
-kernels on the stored keys with integer numerators over one denominator;
+evaluation at a second-order jet of a point (:func:`_evaluate_jet`, which
+reads the value of one or two derivations applied to a polynomial
+without building either) are written once, as kernels on the stored keys
+with integer numerators over one denominator;
 renaming renumbers packed fields (:func:`transport`), and the Groebner
 layer reads the same keys.  Only printing, substitution, the variable
 set and the two table readers of ``cdf`` decode a key into exponents
@@ -272,22 +274,25 @@ def _evaluate(packed: dict, den: int, at, packing: _Packing) -> Fraction:
     return Fraction(total, den * q**top)
 
 
-def _evaluate_dual(packed: dict, den: int, at, slopes, packing: _Packing) -> Fraction:
-    """The ε part of the polynomial ``packed`` over ``den``, packed by
-    ``packing``, at the dual point a + ε·w over Z[ε]/(ε²): the derivative
-    of p along w at a, sum over v of w_v * (dp/dv)(a).
+def _evaluate_jet(packed: dict, den: int, at, jet, packing: _Packing) -> Fraction:
+    """The ε1ε2 part of the polynomial ``packed`` over ``den``, packed by
+    ``packing``, at the point a + ε1·A + ε2·B + ε1ε2·C over
+    Z[ε1, ε2]/(ε1², ε2²): the second-order jet
 
-    ``at = (coords, q)`` is a, as :meth:`_Packing.point` gives it, and
-    ``slopes = (dw, dv)`` lists the numerators of w over one denominator
-    ``dv`` in the same field order.  As in :func:`_evaluate`, one pass over the terms in
-    integers: each (field, exponent) power is cached once as the pair
-    (c^e, e * c^(e-1) * n) of coordinate c and slope n, and each term walks
-    only its nonzero exponent fields carrying a (value, ε) pair, so a
-    degree-k term's ε part is an integer over ``den * dv * q**(k-1)``.  A
-    term is dropped once both parts are 0.
+        sum over u, v of A_u B_v (d²p/du dv)(a) + sum over v of C_v (dp/dv)(a).
+
+    With A = (D x)(a), B = (D' x)(a) and C = (D(D' x))(a) for derivations
+    D and D', this is (D D' p)(a); with A = B = 0 and C = (D x)(a) it is
+    (D p)(a).  ``at = (coords, q)`` is a, as :meth:`_Packing.point` gives
+    it, and ``jet`` is from :func:`_jet`.  One pass over the terms in
+    integers, as in :func:`_evaluate`: each (field, exponent) power is
+    cached once as its four parts, and each term walks only its nonzero
+    exponent fields carrying four parts, so a degree-k term's ε1ε2 part is
+    an integer over ``den * d**2 * q**k``.  A term is dropped once all
+    four parts are 0.
     """
     coords, q = at
-    dw, dv = slopes
+    alpha, beta, gamma, d = jet
     top = packing.top
     low = (1 << top) - 1
     mask = -_FIELD
@@ -295,34 +300,63 @@ def _evaluate_dual(packed: dict, den: int, at, slopes, packing: _Packing) -> Fra
     by_degree = {}
     for m, val in packed.items():
         x = m & low
-        eps = 0
+        e1 = e2 = e12 = 0
         while x:
             s = (x.bit_length() - 1) & mask
             e = x >> s
             key = e << s
             x -= key
-            pair = powers.get(key)
-            if pair is None:
-                c, n = coords[s // _FIELD], dw[s // _FIELD]
-                pair = powers[key] = (c**e, e * c ** (e - 1) * n)
-            p, dp = pair
+            parts = powers.get(key)
+            if parts is None:
+                f = s // _FIELD
+                parts = powers[key] = _power_jet(coords[f], alpha[f], beta[f], gamma[f], e, q)
+            p, p1, p2, p12 = parts
             if p:
-                eps = eps * p + val * dp
+                e12 = e12 * p + e1 * p2 + e2 * p1 + val * p12
+                e1 = e1 * p + val * p1
+                e2 = e2 * p + val * p2
                 val *= p
-            elif dp and val:
-                eps = val * dp
-                val = 0
             else:
-                break
+                e12 = e1 * p2 + e2 * p1 + val * p12
+                e1 = val * p1
+                e2 = val * p2
+                val = 0
+                if not (e1 or e2 or e12):
+                    break
         else:
-            if eps:
+            if e12:
                 k = m >> top
-                by_degree[k] = by_degree.get(k, 0) + eps
+                by_degree[k] = by_degree.get(k, 0) + e12
     if not by_degree:
         return Fraction(0)
     top = max(by_degree)
     total = sum(part * q ** (top - k) for k, part in by_degree.items())
-    return Fraction(total, den * dv * q ** (top - 1))
+    return Fraction(total, den * d * d * q**top)
+
+
+def _power_jet(c: int, a: int, b: int, g: int, e: int, q: int):
+    # (c + h)^e with h = q (ε1 a + ε2 b + ε1ε2 g), h² = 2 q² ε1ε2 a b and
+    # h³ = 0: the four parts of a coordinate's e-th power over q^e
+    c1 = c ** (e - 1)
+    p1 = e * c1 * q
+    p12 = p1 * g
+    if e > 1 and a and b:
+        p12 += e * (e - 1) * c ** (e - 2) * a * b * q * q
+    return c1 * c, p1 * a, p1 * b, p12
+
+
+def _jet(nfields: int, A: dict, B: dict, C: dict):
+    """``(alpha, beta, gamma, d)`` for :func:`_evaluate_jet` from the
+    directions ``A``, ``B`` and ``C``, each a dict from field index to
+    value (missing = 0): their numerators listed by field, A and B over
+    ``d`` and C over ``d**2``."""
+    (a, b, g), d = _over_common_denominator(A, B, C)
+    return (
+        [a.get(f, 0) for f in range(nfields)],
+        [b.get(f, 0) for f in range(nfields)],
+        [g.get(f, 0) * d for f in range(nfields)],
+        d,
+    )
 
 
 def _multiply(left: dict, right: dict, packing: _Packing) -> dict:
@@ -711,24 +745,37 @@ class Derivation:
         the same form: :func:`_derive` with the packed images."""
         return _derive(packed, den, *self._images(), packing)
 
-    def _apply_at(self, packed: dict, den: int, packing: _Packing, at) -> Fraction:
+    def _apply_at(self, packed: dict, den: int, packing: _Packing, at, first=None) -> Fraction:
         """The value at ``at`` (of :meth:`_Packing.point`) of
-        :meth:`_apply`'s polynomial, which is never built.
+        :meth:`_apply`'s polynomial, or, given the derivation ``first``,
+        of this derivation applied to ``first``'s; neither is built.
 
-        (D p)(a) is the ε part of p(a + ε·w), where w_v = (D v)(a), so the
-        images are evaluated at the point once and :func:`_evaluate_dual`
-        makes one pass over ``packed``; no exponent is raised, so it never
-        overflows.
+        Both are the ε1ε2 part of p at a jet of :func:`_evaluate_jet`.
+        With A = (D x)(a) the values of this derivation's images at the
+        point, (D p)(a) is that part at a + ε1ε2·A.  With B = (D' x)(a)
+        for D' = ``first`` and C_v = (D(D' v))(a), the first case on each
+        image of D', (D D' p)(a) is that part at a + ε1·A + ε2·B + ε1ε2·C.
+        No exponent is raised, so it never overflows.
         """
+        n = len(packing.shifts)
+        slopes = {f: _evaluate(image, d, at, packing) for f, image, d in self._image_polys(packing)}
+        along = _jet(n, {}, {}, slopes)
+        if first is None:
+            return _evaluate_jet(packed, den, at, along, packing)
+        values, second = {}, {}
+        for f, image, d in first._image_polys(packing):
+            values[f] = _evaluate(image, d, at, packing)
+            second[f] = _evaluate_jet(image, d, at, along, packing)
+        jet = _jet(n, slopes, values, second)
+        return _evaluate_jet(packed, den, at, jet, packing)
+
+    def _image_polys(self, packing: _Packing):
+        """``(field index, packed image, denominator)`` per nonzero image."""
         images, d = self._images()
         unit = packing.unit
-        values = {
-            s // _FIELD: _evaluate({off + (1 << s) + unit: c for off, c in image}, d, at, packing)
-            for s, image in images
-        }
-        (scaled,), dv = _over_common_denominator(values)
-        dw = [scaled.get(field, 0) for field in range(len(packing.shifts))]
-        return _evaluate_dual(packed, den, at, (dw, dv), packing)
+        return [
+            (s // _FIELD, {off + (1 << s) + unit: c for off, c in image}, d) for s, image in images
+        ]
 
     def _images(self):
         """``_packed``, built at the first call."""

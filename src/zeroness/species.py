@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from . import _system, cdf
 from ._system import System, transport
-from .constraints import validate
 from .errors import ArityMismatch, NotWellPosed, SoundnessError
 from .poly import Context, Derivation, Poly
 from .series import TruncSeries
@@ -191,6 +190,8 @@ def _compile_into(e, scope: _Scope, env) -> Poly:
             return r
         return scope.adjoin("cyc", 0, lambda lift, u: [lift(q) * lift(r) for q in rates])
     if isinstance(e, Restrict):
+        from .constraints import validate
+
         validate(e.constraint, scope.dim)
         (inner,) = scope.series([_compile_into(e.child, scope, env)])
         return scope.absorb(cdf.restrict_regular(inner, e.constraint))

@@ -306,6 +306,25 @@ def test_large_recognizer_is_a_resource_limit(tmp_path, constraint, size):
     )
 
 
+
+def test_restriction_work_is_a_resource_limit(tmp_path):
+    # 960 elements are within the recognizer cap, but s*c splits into
+    # 960 * 960 terms over them: past the cap on a restriction's terms
+    path = tmp_path / "restricted.cdf"
+    path.write_text(
+        "vars x1\ngens s c\ninit s = 0\ninit c = 1\nd/dx1 s = c\nd/dx1 c = -s\n"
+        "expr = restrict(s*c + s^2; z1 % 64 == 0 || z1 % 15 == 1)\n"
+    )
+    start = time.perf_counter()
+    code, out, err = run("check", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "INCONCLUSIVE_RESOURCE_LIMIT (resource cap 'restriction_terms' exceeded: "
+        "924480 > 200000)\n"
+    )
+
 WBPP_HEAD = "alphabet a\nnonterminals S\nstart S\n"
 CDF_HEAD = "vars x1\ngens s\ninit s = 1\nd/dx1 s = s\n"
 

@@ -1,9 +1,10 @@
 """Words of derivations run packed: ``delta_word`` folds one packed
 kernel per letter, and ``coeff_via_lie`` and ``wbpp.evaluate`` fold every
-letter but the last, then evaluate the last in one pass at the dual point
-a + ε·w, w its images' values at the point, so an exponent cap fires only
-in a fold that is built.  Each must give what the plain-Fraction reference below gives: apply
-the derivation letter by letter to dense exponent tuples, then evaluate."""
+letter but the last two, then evaluate those two in one pass at a
+second-order jet of the point, so an exponent cap fires only in a fold
+that is built.  Each must give what the plain-Fraction reference below
+gives: apply the derivation letter by letter to dense exponent tuples,
+then evaluate."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -180,10 +181,31 @@ def test_process_fold_matches_fraction_reference(case, word):
 # ε parts that cancel to 0: x^2 + y^2 is invariant, and x - 2y vanishes at (2, 1)
 @example((2, ROTATION + [{}], [Fraction(3, 5), Fraction(4, 5)], {(2, 0): 1, (0, 2): 1}), [0])
 @example((2, [{0: {(1, 0): 1}, 1: {(0, 1): 2}}, {}], [2, 1], {(1, 0): 1, (0, 1): -1}), [0])
+# a tail of two different letters, after a built fold
+@example(
+    (2, [{0: {(0, 1): 1}, 1: {(1, 0): 2}}, {0: {(1, 1): Fraction(1, 3)}, 1: {(0, 0): 1}}],
+     [2, 3], {(2, 1): 1, (0, 2): 1}),
+    [1, 0, 1],
+)
+# x = 0 under exponent 2: only the A_x B_x term of x^2 survives
+@example(
+    (2, [{0: {(0, 0): 1}}, {0: {(0, 1): 3}, 1: {(1, 0): 1}}], [0, Fraction(1, 2)],
+     {(2, 1): 1, (2, 0): 2}),
+    [1, 0],
+)
+# B_x = y = 0 at the point, but C_x = (D y)(a) = 1 is not
+@example((2, [{1: {(0, 0): 1}}, {0: {(0, 1): 1}}], [1, 0], {(2, 0): 1}), [1, 0])
+# A, B and C each over a denominator (A = (2/9, 2/5), B = (1/14, 1/4))
+@example(
+    (2, [{0: {(0, 1): Fraction(1, 3)}, 1: {(0, 0): Fraction(2, 5)}},
+         {0: {(1, 0): Fraction(1, 7)}, 1: {(1, 1): Fraction(3, 4)}}],
+     [Fraction(1, 2), Fraction(2, 3)], {(2, 1): 1, (1, 2): Fraction(1, 5)}),
+    [1, 0],
+)
 @settings(max_examples=150, deadline=None)
 def test_fold_value_is_the_value_of_the_fold(case, letters):
     # the full fold, evaluated packed, is what fold_value computes with its
-    # last letter evaluated in one pass at the dual point
+    # last two letters evaluated in one pass at a second-order jet
     nvars, images, point, start = case
     ctx = Context(GENERATORS[:nvars])
     ops = [Derivation(ctx, {v: to_poly(ctx, p) for v, p in op.items()}) for op in images]
@@ -244,7 +266,7 @@ def test_two_axis_lie_ending_on_axis_two():
 
 def test_fold_exponent_overflow_is_a_resource_cap():
     # with e' = e^2, a folded letter takes e^M to M e^(M+1): past the field;
-    # the last letter of an evaluated word is not folded, so it takes two
+    # the last two letters of an evaluated word are not folded, so it takes three
     top, want = _MAX_EXPONENT, _MAX_EXPONENT + 1
     ctx = Context(["e"])
     e = ctx.var("e")
@@ -253,8 +275,8 @@ def test_fold_exponent_overflow_is_a_resource_cap():
     m = W.Wbpp(["a"], ["X"], "X", {("a", "X"): Context(["X"]).var("X") ** 2}, {"X": 1})
     config = 2 * m.ctx.var("X") ** top
     for run in (
-        lambda: C.coeff_via_lie(C.CdfSeries(sys, big), (2,)),
-        lambda: W.evaluate(m, config, "aa"),
+        lambda: C.coeff_via_lie(C.CdfSeries(sys, big), (3,)),
+        lambda: W.evaluate(m, config, "aaa"),
         lambda: W.delta_word(m, "a", config),
         lambda: m.op("a")(config),
     ):
@@ -263,16 +285,19 @@ def test_fold_exponent_overflow_is_a_resource_cap():
         assert (refused.value.cap, refused.value.value) == ("exponent", want)
         assert refused.value.limit == _MAX_EXPONENT
 
-    # one letter only lowers the exponent: M e^(M-1) e^2 at e = 1
+    # one letter only lowers the exponent: M e^(M-1) e^2 at e = 1; two give
+    # M (M+1) e^(M+2) at e = 1, exactly, though e^(M+1) does not fit a field
     assert C.coeff_via_lie(C.CdfSeries(sys, big), (1,)) == top
     assert W.evaluate(m, config, "a") == 2 * top
+    assert C.coeff_via_lie(C.CdfSeries(sys, big), (2,)) == top * (top + 1)
+    assert W.evaluate(m, config, "aa") == 2 * top * (top + 1)
 
     # the command line reports it as a resource limit, exit code 4
     huge = W.Wbpp.of(m.alphabet, m.core, config)
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(cli, "_load", return_value=("wbpp", huge)):
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["eval", "huge.wbpp", "--word", "aa"])
+            code = cli.main(["eval", "huge.wbpp", "--word", "aaa"])
     assert code == 4
     assert out.getvalue() == ""
     assert err.getvalue().startswith("INCONCLUSIVE_RESOURCE_LIMIT (resource cap 'exponent'")
