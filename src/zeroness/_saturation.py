@@ -10,6 +10,15 @@ is kept as an incrementally extended reduced Groebner basis.  The frontier
 draining out is the Groebner-detected stabilisation of the ideal chain,
 and then the start polynomial's whole derivation closure vanishes at the
 point, so the answer is ZERO.
+
+Each retained polynomial joins the basis through ``groebner.extend``,
+which adjoins its normal form to the old reduced basis by a signature
+completion: S-pairs whose signature an old head or an earlier reduction
+to zero divides are never reduced, and those are most of the pairs the
+chain would otherwise reduce to zero.  The step budget is per ``extend``
+call, so which queries end INCONCLUSIVE under ``max_iterations`` follows
+the completion's step counts; the verdicts that do not hit a cap, and
+their stats, depend only on the ideals, since a reduced basis is unique.
 """
 
 from __future__ import annotations

@@ -1,8 +1,17 @@
-"""Multivariate division and Buchberger's algorithm.
+"""Multivariate division and signature-based Groebner completion.
 
 This is the termination and membership engine behind the zeroness
 procedures: ideal membership is decided by reduction against a reduced
 Groebner basis, and saturation loops extend bases incrementally.
+
+A basis grows by one polynomial at a time (:func:`extend`, and
+:func:`buchberger` folds it over its generators).  Each step completes
+the old reduced basis and the new polynomial's normal form by
+signatures, so that most S-pairs that would reduce to zero are never
+formed: J. C. Faugere, "A new efficient algorithm for computing Groebner
+bases without reduction to zero (F5)", ISSAC 2002; C. Eder and J. C.
+Faugere, "A survey on signature-based algorithms for computing Groebner
+bases", J. Symbolic Comput. 80 (2017).  See :func:`_adjoin`.
 
 Every basis is taken under graded lex with variable 0 highest, the one
 monomial order of the library; membership is the same under any order.
@@ -40,7 +49,12 @@ from .poly import (  # noqa: F401 (_MAX_EXPONENT re-exported)
 class GroebnerLimits:
     """Caps that keep the doubly exponential worst case from hanging.
 
-    Conservative defaults; raise them on an inconclusive outcome.
+    ``max_iterations`` bounds the steps of one :func:`buchberger`,
+    :func:`extend` or :func:`reduce` call.  A step is one term a normal
+    form reads off (cancelled by a reducer or kept in the remainder), or
+    one S-pair whose signature the criteria of :func:`_adjoin` let
+    through to reduction; normal forms in the final interreduction count
+    too.  Conservative defaults; raise them on an inconclusive outcome.
     """
 
     max_degree: int = 64
@@ -120,7 +134,7 @@ def _monic_entry(remainder):
 
 class _Budget:
     """Shared step counter for one basis computation; reduction steps and
-    pair selections spend from the same pool, so a single monstrous
+    S-pair reductions spend from the same pool, so a single monstrous
     normal form fails loudly instead of hanging."""
 
     __slots__ = ("left",)
@@ -156,12 +170,18 @@ def _reduce(p, ctx, entries, packing, budget: _Budget):
     return _normal_form(work, den, entries, packing, budget)
 
 
-def _normal_form(work, den, entries, packing, budget):
+def _normal_form(work, den, entries, packing, budget, signed=(), sigma=0):
     """Normal form of the polynomial ``work / den`` by ``entries``, tuples
     of :func:`_monic_entry`, where ``work`` maps packed monomials to
     ``int`` numerators over the one denominator ``den``.  Returns
     ``(remainder, den)`` in the same form, the remainder's monomials in
     descending order.
+
+    ``signed`` holds further reducers ``(head, tail, d, sig)`` of
+    signature ``sig`` (see :func:`_adjoin`); one may cancel the monomial
+    ``m`` only when ``(m / head) * sig < sigma``, so that the reduction
+    keeps the signature ``sigma`` of ``work``.  Reducers of ``entries``
+    are tried first, in stored order, then those of ``signed``.
 
     Reduction runs on the numerators: a reducer ``head + tail / d`` with
     ``d`` dividing the current numerator ``c`` subtracts ``c // d`` times
@@ -184,30 +204,37 @@ def _normal_form(work, den, entries, packing, budget):
         mg = m | guards
         for h, tail, d in entries:
             if (mg - h) & guards == guards:
-                # work -= c * (m / h) * (h + tail / d): the head term cancels
-                # exactly, and every introduced monomial is strictly below m
-                # in the order.
-                if c % d:
-                    k = d // gcd(c, d)
-                    c *= k
-                    den *= k
-                    work = {t: x * k for t, x in work.items()}
-                    remainder = {t: x * k for t, x in remainder.items()}
-                q = c // d
-                shift = m - h
-                for gm, gc in tail.items():
-                    t = gm + shift
-                    if t & guards:
-                        raise packing.overflow(t)
-                    prev = work.get(t)
-                    if prev is None:
-                        heappush(heap, -t)
-                        work[t] = -q * gc
-                    else:
-                        work[t] = prev - q * gc
                 break
         else:
-            remainder[m] = c
+            # A sum of packed monomials that overflows a field keeps every
+            # field's exact value, so it still compares in grlex.
+            for h, tail, d, sig in signed:
+                if (mg - h) & guards == guards and m - h + sig < sigma:
+                    break
+            else:
+                remainder[m] = c
+                continue
+        # work -= c * (m / h) * (h + tail / d): the head term cancels
+        # exactly, and every introduced monomial is strictly below m in
+        # the order.
+        if c % d:
+            k = d // gcd(c, d)
+            c *= k
+            den *= k
+            work = {t: x * k for t, x in work.items()}
+            remainder = {t: x * k for t, x in remainder.items()}
+        q = c // d
+        shift = m - h
+        for gm, gc in tail.items():
+            t = gm + shift
+            if t & guards:
+                raise packing.overflow(t)
+            prev = work.get(t)
+            if prev is None:
+                heappush(heap, -t)
+                work[t] = -q * gc
+            else:
+                work[t] = prev - q * gc
     return remainder, den
 
 
@@ -241,47 +268,6 @@ def _new_entry(remainder, size, packing, limits):
     return _monic_entry(remainder)
 
 
-def _gm_update(gens, pairs, new, packing, seq):
-    """Gebauer-Moller pair update: add ``new``, the entry of a monic and
-    reduced generator, to ``gens`` and return the critical-pair heap
-    rebuilt with the B/M/F criteria.
-
-    A pair is (packed lcm, sequence number, entry f, entry g); the numbers
-    come from ``seq`` and increase, so the heap pops the smallest lcm first
-    and breaks ties in insertion order.
-    """
-    h = new[0]
-    divides, lcm, guards = packing.divides, packing.lcm, packing.guards
-    lcms = [lcm(h, e[0]) for e in gens]
-
-    # M criterion: drop (g1, h) when another new pair's lcm strictly divides.
-    kept = []
-    for i, l1 in enumerate(lcms):
-        l1g = l1 | guards
-        if not any(l2 != l1 and (l1g - l2) & guards == guards for l2 in lcms):
-            kept.append(i)
-    # F criterion: among equal lcms keep one representative.
-    seen = {}
-    for i in kept:
-        seen.setdefault(lcms[i], i)
-    # Buchberger's coprimality criterion: the lcm of coprime heads is their
-    # product.
-    kept = [i for i in seen.values() if lcms[i] != h + gens[i][0]]
-
-    # B criterion on old pairs.
-    surviving = [
-        pair
-        for pair in pairs
-        if not divides(h, pair[0])
-        or lcm(h, pair[2][0]) == pair[0]
-        or lcm(h, pair[3][0]) == pair[0]
-    ]
-    surviving.extend((lcms[i], next(seq), gens[i], new) for i in kept)
-    heapq.heapify(surviving)
-    gens.append(new)
-    return surviving
-
-
 def _interreduce(gens, packing, budget):
     """Reduce each of ``gens``, entries of monic generators, by the others
     until none changes; return them sorted ascending by head."""
@@ -306,25 +292,117 @@ def _interreduce(gens, packing, budget):
     return gens
 
 
-def _complete(gens, pairs, packing, limits, budget, seq):
-    """Run pair reductions until no critical pair is left."""
+def _adjoin(gens, h, packing, limits, budget):
+    """Entries of the reduced Groebner basis of ideal(``gens``) + <``h``>,
+    where ``gens`` are the entries of a reduced Groebner basis and ``h``,
+    a nonzero remainder of :func:`_normal_form` by them, is irreducible.
+
+    The completion is the rewrite-basis algorithm of Eder and Faugere's
+    survey, run over ``gens``, which stay fixed.  Each new element ``v``
+    is ``t * h`` plus multiples of ``h`` by monomials below ``t`` and a
+    member of ideal(``gens``); its signature ``sig(v)`` is the packed
+    monomial ``t``, compared as an ``int`` (grlex).  ``h`` has signature 1.
+    Reduction by ``gens`` keeps a signature; reduction by a multiple
+    ``s * v`` does when ``s * sig(v)`` is below it.
+
+    The S-pair of two elements is read as a J-pair: the multiple of the
+    one whose multiple has the larger signature ``sigma``, the new element
+    in a pair with one of ``gens``.  J-pairs are reduced by increasing
+    ``sigma``, all J-pairs of one signature as one, and a signature is
+    skipped
+
+    - when a syzygy signature divides it: the head of some ``g`` of
+      ``gens`` (the F5 criterion: ``g * h`` lies in ideal(``gens``)) or
+      the signature of an earlier reduction to 0;
+    - when its rewriter has no J-pair there (the rewrite criterion).  The
+      rewriter of ``sigma`` is the element ``v`` with ``sig(v)`` dividing
+      ``sigma`` whose multiple of signature ``sigma`` has the smallest
+      head, the latest of those on a tie: the rewrite order by
+      signature-to-head ratio of Eder and Roune (ISSAC 2013), which is the
+      cover criterion of Gao, Volny and Wang (Math. Comp. 2016).
+
+    A remainder is then never top-reducible by a multiple of signature
+    ``sigma`` alone: that multiple would have a smaller head than the
+    rewriter's, so the remainder joins the basis.  (Under the order of
+    addition, where the rewriter is the latest element whose signature
+    divides ``sigma``, such a remainder must be kept as a rewriter; a
+    completion that dropped it lost basis elements.)
+    """
+    divides, lcm, guards = packing.divides, packing.lcm, packing.guards
+    syzygies = [g[0] for g in gens]
+    signed, pairs = [], []
+    seq = itertools.count()
+
+    def push(sigma, i, partner):
+        if sigma & guards:
+            raise packing.overflow(sigma)
+        heapq.heappush(pairs, (sigma, next(seq), i, partner))
+
+    def add(entry, sig):
+        """``entry`` joins ``signed`` with signature ``sig``, and its
+        J-pairs ``(sigma, seq, element index, partner entry)`` the heap."""
+        hw, i = entry[0], len(signed)
+        for g in gens:
+            push(lcm(hw, g[0]) - hw + sig, i, g)
+        for j, (hu, tu, du, su) in enumerate(signed):
+            l = lcm(hw, hu)
+            a, b = l - hw + sig, l - hu + su
+            if a > b:
+                push(a, i, (hu, tu, du))
+            elif b > a:
+                push(b, j, entry)
+        signed.append((*entry, sig))
+
+    add(_new_entry(h, len(gens), packing, limits), 0)
     while pairs:
+        sigma = pairs[0][0]
+        group = []
+        while pairs and pairs[0][0] == sigma:
+            group.append(heapq.heappop(pairs))
+        sg = sigma | guards
+        if any((sg - s) & guards == guards for s in syzygies):
+            continue
+        r = min(
+            (i for i, v in enumerate(signed) if divides(v[3], sigma)),
+            key=lambda i: (sigma - signed[i][3] + signed[i][0], -i),
+        )
+        pair = next((p for p in group if p[2] == r), None)
+        if pair is None:
+            continue
         budget.spend()
-        # Normal strategy: smallest pair lcm in the order.
-        l, _, f, g = heapq.heappop(pairs)
-        work, den = _s_poly_work(f, g, l, packing)
-        h, _ = _normal_form(work, den, gens, packing, budget)
-        if h:
-            new = _new_entry(h, len(gens), packing, limits)
-            pairs = _gm_update(gens, pairs, new, packing, seq)
-    return gens
+        f, g = signed[r][:3], pair[3]
+        work, den = _s_poly_work(f, g, lcm(f[0], g[0]), packing)
+        rem, _ = _normal_form(work, den, gens, packing, budget, signed, sigma)
+        if not rem:
+            syzygies.append(sigma)
+            continue
+        add(_new_entry(rem, len(gens) + len(signed), packing, limits), sigma)
+    # A generator whose head another one's divides (or equals, for all but
+    # the first) reduces to zero by the rest, which are a Groebner basis
+    # without it: drop it rather than reduce it in the interreduction.  A
+    # head of ``gens`` divides no other head, old or new, so only the new
+    # heads are tried.
+    first = len(gens)
+    gens = [*gens, *(e[:3] for e in signed)]
+    kept = [
+        e
+        for i, e in enumerate(gens)
+        if not any(
+            divides(v[0], e[0]) and (v[0] != e[0] or first + j < i)
+            for j, v in enumerate(signed)
+            if first + j != i
+        )
+    ]
+    return _interreduce(kept, packing, budget)
 
 
 def buchberger(gens, limits: GroebnerLimits = None, ctx=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    ``ctx`` is only needed for an empty (or all-zero) generator list,
-    where the zero ideal has no context to infer from.
+    The generators are adjoined one at a time, as by :func:`extend`, with
+    one step budget for the whole computation.  ``ctx`` is only needed for
+    an empty (or all-zero) generator list, where the zero ideal has no
+    context to infer from.
     """
     limits = limits or DEFAULT_LIMITS
     gens = [g for g in gens if not g.is_zero()]
@@ -335,15 +413,12 @@ def buchberger(gens, limits: GroebnerLimits = None, ctx=None) -> GroebnerBasis:
     ctx = gens[0].ctx
     packing = _packing(len(ctx))
     budget = _Budget(limits.max_iterations)
-    seq = itertools.count()
-    basis, pairs = [], []
+    basis = []
     for g in gens:
         h, _ = _reduce(g, ctx, basis, packing, budget)
         if h:
-            new = _new_entry(h, len(basis), packing, limits)
-            pairs = _gm_update(basis, pairs, new, packing, seq)
-    basis = _complete(basis, pairs, packing, limits, budget, seq)
-    return GroebnerBasis(ctx, _interreduce(basis, packing, budget))
+            basis = _adjoin(basis, h, packing, limits, budget)
+    return GroebnerBasis(ctx, basis)
 
 
 def extend(basis: GroebnerBasis, p, limits: GroebnerLimits = None) -> GroebnerBasis:
@@ -364,12 +439,7 @@ def extend(basis: GroebnerBasis, p, limits: GroebnerLimits = None) -> GroebnerBa
         h, _ = _normal_form(dict(packed), den, entries, packing, budget)
     if not h:
         return basis
-    new = _new_entry(h, len(entries), packing, limits)
-    gens = list(entries)
-    seq = itertools.count()
-    pairs = _gm_update(gens, [], new, packing, seq)
-    gens = _complete(gens, pairs, packing, limits, budget, seq)
-    return GroebnerBasis(basis.ctx, _interreduce(gens, packing, budget))
+    return GroebnerBasis(basis.ctx, _adjoin(entries, h, packing, limits, budget))
 
 
 def ideal_contains(basis: GroebnerBasis, p: Poly) -> bool:

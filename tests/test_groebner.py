@@ -246,9 +246,10 @@ def test_basis_canonical_under_generator_permutation():
 
 
 def test_cyclic4_step_count_is_pinned():
-    # The step budget counts reduction steps and pair selections, so it
-    # decides which inputs end INCONCLUSIVE.  Cyclic-4 needs exactly 98
-    # steps; a change to pair order or interreduction shows up here.
+    # The step budget counts reduction steps and S-pair reductions, so it
+    # decides which inputs end INCONCLUSIVE.  Cyclic-4 needs exactly 103
+    # steps, its four generators adjoined one at a time; a change to pair
+    # order, the signature criteria or interreduction shows up here.
     ctx = Context(["a", "b", "c", "d"])
     a, b, c, d = (ctx.var(n) for n in "abcd")
     cyclic4 = [
@@ -257,10 +258,10 @@ def test_cyclic4_step_count_is_pinned():
         a * b * c + b * c * d + c * d * a + d * a * b,
         a * b * c * d - 1,
     ]
-    gb = buchberger(cyclic4, limits=GroebnerLimits(max_iterations=98))
+    gb = buchberger(cyclic4, limits=GroebnerLimits(max_iterations=103))
     assert len(gb) == 7
     with pytest.raises(ResourceLimitExceeded):
-        buchberger(cyclic4, limits=GroebnerLimits(max_iterations=97))
+        buchberger(cyclic4, limits=GroebnerLimits(max_iterations=102))
 
 
 @st.composite
@@ -401,13 +402,16 @@ def test_exponent_overflow_makes_a_query_inconclusive():
 
 
 # The Groebner layer reduces integer numerators over one tracked
-# denominator, with every monomial packed into an int.  It must give what
-# the plain-Fraction division and completion below give, term for term
-# and in the same order, spend the same reduction steps, and store only
-# Fraction coefficients.  The reference decodes the packed keys with the
-# oracle's own arithmetic, orders and pairs them by the oracle's grlex key
-# and its own copies of the heap key, the leading monomial and the
-# Gebauer-Moller update, so it runs no packed code of the library.
+# denominator, with every monomial packed into an int, and completes a
+# basis by signatures.  It must give what the plain-Fraction division and
+# signature completion below give, term for term and in the same order,
+# spend the same steps, and store only Fraction coefficients.  The
+# reference decodes the packed keys with the oracle's own arithmetic,
+# orders and pairs them by the oracle's grlex key and its own copies of
+# the heap key, the leading monomial and the signature criteria, so it
+# runs no packed code of the library.  Classical completion, with the
+# Gebauer-Moller update and no signatures, is the independent oracle for
+# the bases themselves: a reduced Groebner basis is unique.
 
 
 def ref_neg_key(key):
@@ -458,8 +462,10 @@ def ref_entry(p):
     return hm, p * (Fraction(1) / p.terms[hm])
 
 
-def ref_reduce(p, entries, budget):
-    """Normal form of ``p`` by ``entries``, (head, monic generator) pairs."""
+def ref_reduce(p, entries, budget, signed=(), sigma=None):
+    """Normal form of ``p`` by ``entries``, (head, monic generator) pairs,
+    then by ``signed``, (head, monic generator, signature) triples, each
+    only where its multiple's signature is below ``sigma``."""
     nv = len(p.ctx)
     work = dict(p.terms)
     heap = [(ref_neg_key(grlex_key(m, nv)), m) for m in work]
@@ -471,22 +477,29 @@ def ref_reduce(p, entries, budget):
         if c == 0:
             continue
         budget.spend()
-        for hm, g in entries:
-            if mono_divides(hm, m, nv):
-                shift = mono_div(m, hm, nv)
-                for gm, gc in g.terms.items():
-                    if gm == hm:
-                        continue
-                    t = mono_mul(gm, shift, nv)
-                    prev = work.get(t)
-                    if prev is None:
-                        heapq.heappush(heap, (ref_neg_key(grlex_key(t, nv)), t))
-                        work[t] = -c * gc
-                    else:
-                        work[t] = prev - c * gc
-                break
-        else:
+        reducers = [(hm, g) for hm, g in entries if mono_divides(hm, m, nv)]
+        reducers += [
+            (hm, g)
+            for hm, g, sig in signed
+            if mono_divides(hm, m, nv)
+            and grlex_key(mono_mul(mono_div(m, hm, nv), sig, nv), nv)
+            < grlex_key(sigma, nv)
+        ]
+        if not reducers:
             remainder[m] = c
+            continue
+        hm, g = reducers[0]
+        shift = mono_div(m, hm, nv)
+        for gm, gc in g.terms.items():
+            if gm == hm:
+                continue
+            t = mono_mul(gm, shift, nv)
+            prev = work.get(t)
+            if prev is None:
+                heapq.heappush(heap, (ref_neg_key(grlex_key(t, nv)), t))
+                work[t] = -c * gc
+            else:
+                work[t] = prev - c * gc
     return Poly(p.ctx, remainder)
 
 
@@ -549,6 +562,96 @@ def ref_extend(entries, p, budget):
     return ref_interreduce(gens, budget)
 
 
+def ref_sig_adjoin(gens, h, budget):
+    """The reduced basis of ``gens``, (head, monic generator) pairs of a
+    reduced basis, and ``h``, a nonzero normal form by them, completed by
+    signatures: J-pairs by increasing signature, dropped when a syzygy
+    signature (a head of ``gens`` or an earlier reduction to zero) divides
+    theirs or when their element is not the one whose multiple of that
+    signature has the smallest head (the latest of those); then the
+    minimal generators are interreduced."""
+    nv = len(h.ctx)
+
+    def key(m):
+        return grlex_key(m, nv)
+
+    def multiple(sig, hm, sigma):
+        # the head of the multiple of signature sigma of an element
+        return mono_mul(mono_div(sigma, sig, nv), hm, nv)
+
+    syzygies = [hm for hm, _ in gens]
+    signed, pairs = [], []  # (head, monic generator, signature); J-pairs
+    seq = itertools.count()
+
+    def push(sigma, i, partner):
+        heapq.heappush(pairs, (key(sigma), next(seq), sigma, i, partner))
+
+    def add(entry, sig):
+        hw, i = entry[0], len(signed)
+        for g in gens:
+            push(mono_mul(mono_div(mono_lcm(hw, g[0], nv), hw, nv), sig, nv), i, g)
+        for j, (hu, u, su) in enumerate(signed):
+            l = mono_lcm(hw, hu, nv)
+            a = mono_mul(mono_div(l, hw, nv), sig, nv)
+            b = mono_mul(mono_div(l, hu, nv), su, nv)
+            if key(a) > key(b):
+                push(a, i, (hu, u))
+            elif key(b) > key(a):
+                push(b, j, entry)
+        signed.append((*entry, sig))
+
+    add(ref_entry(h), packed((0,) * nv))
+    while pairs:
+        group = [heapq.heappop(pairs)]
+        while pairs and pairs[0][0] == group[0][0]:
+            group.append(heapq.heappop(pairs))
+        sigma = group[0][2]
+        if any(mono_divides(z, sigma, nv) for z in syzygies):
+            continue
+        rewriters = [i for i, v in enumerate(signed) if mono_divides(v[2], sigma, nv)]
+        r = min(
+            rewriters, key=lambda i: (key(multiple(signed[i][2], signed[i][0], sigma)), -i)
+        )
+        chosen = [p for p in group if p[3] == r]
+        if not chosen:
+            continue
+        budget.spend()
+        hf, f, _ = signed[r]
+        hg, g = chosen[0][4]
+        s_poly = ref_s_poly(hf, f, hg, g, mono_lcm(hf, hg, nv))
+        rem = ref_reduce(s_poly, gens, budget, signed, sigma)
+        if rem.is_zero():
+            syzygies.append(sigma)
+        else:
+            add(ref_entry(rem), sigma)
+    # drop the generators whose head another one's divides (the first of
+    # equal heads stays), then interreduce
+    gens = gens + [(hw, w) for hw, w, _ in signed]
+    kept = [
+        e
+        for i, e in enumerate(gens)
+        if not any(
+            j != i and mono_divides(f[0], e[0], nv) and (f[0] != e[0] or j < i)
+            for j, f in enumerate(gens)
+        )
+    ]
+    return ref_interreduce(kept, budget)
+
+
+def ref_sig_buchberger(gens, budget):
+    basis = []
+    for g in gens:
+        h = ref_reduce(g, basis, budget)
+        if not h.is_zero():
+            basis = ref_sig_adjoin(basis, h, budget)
+    return basis
+
+
+def ref_sig_extend(entries, p, budget):
+    h = ref_reduce(p, entries, budget)
+    return entries if h.is_zero() else ref_sig_adjoin(entries, h, budget)
+
+
 @contextmanager
 def recorded_budgets():
     """Collect every step budget the library makes while the block runs."""
@@ -580,7 +683,9 @@ def assert_same_polys(got, want):
             assert type(c) is Fraction and c != 0
 
 
-REFERENCE_CTXS = {n: Context(["x", "y", "z"][:n]) for n in (0, 2, 3)}
+# a budget the classical reference does not reach on the drawn ideals
+UNCAPPED = 10**7
+REFERENCE_CTXS = {n: Context(["x", "y", "z", "w"][:n]) for n in (0, 2, 3, 4)}
 
 
 def ref_poly(nvars, terms):
@@ -631,6 +736,28 @@ def reduction_cases(draw):
 )
 # no variables: every monomial is 1, of degree 0
 @example((0, [[((), 3, 2)]], [((), 5, 7)], 400))
+# x*y, x*z, y*z is not a regular sequence: two J-pairs reduce to zero
+@example((3, [[((1, 1, 0), 1, 1)], [((1, 0, 1), 1, 1)], [((0, 1, 1), 1, 1)]], [], 400))
+# z^2 then x*y^2: the J-pair's signature z^2 is the old head, so it is dropped
+@example((3, [[((0, 0, 2), 2, 1)], [((1, 2, 0), 1, 1)]], [((1, 1, 1), 1, 1)], 400))
+# x^2*z - x^2*y*z^2 then x*y: a reduction to zero whose signature drops a
+# later J-pair
+@example((3, [[((2, 0, 1), 1, 1), ((2, 1, 2), -1, 1)], [((1, 1, 0), 2, 1)]], [], 400))
+# A remainder top-reducible only by a multiple of its own signature: with
+# the latest element whose signature divides as the rewriter, dropping it
+# lost y^5*z - y^4*z + ... from the basis.  The rewriter of smallest head
+# never leaves such a remainder.
+@example(
+    (
+        3,
+        [
+            [((1, 2, 1), 1, 2), ((0, 1, 0), 1, 2), ((2, 0, 0), -1, 1), ((2, 0, 2), 2, 1)],
+            [((0, 0, 0), 1, 1), ((2, 1, 2), -1, 1)],
+        ],
+        [],
+        400,
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_groebner_layer_matches_fraction_reference(case):
     nvars, gens, p, limit = case
@@ -638,9 +765,10 @@ def test_groebner_layer_matches_fraction_reference(case):
     ctx = REFERENCE_CTXS[nvars]
     gens = [ref_poly(nvars, g) for g in gens]
     p = ref_poly(nvars, p)
+    nonzero = [g for g in gens if not g.is_zero()]
 
     budget = _Budget(limit)
-    want = capped(lambda: ref_buchberger([g for g in gens if not g.is_zero()], budget))
+    want = capped(lambda: ref_sig_buchberger(nonzero, budget))
     with recorded_budgets() as made:
         got = capped(lambda: buchberger(gens, limits, ctx=ctx))
     assert sum(limit - b.left for b in made) == limit - budget.left
@@ -648,6 +776,8 @@ def test_groebner_layer_matches_fraction_reference(case):
         assert got is None
         return
     assert_same_polys(got.generators, [g for _, g in want])
+    classical = ref_buchberger(nonzero, _Budget(UNCAPPED))
+    assert_same_polys(got.generators, [g for _, g in classical])
 
     budget = _Budget(limit)
     want_nf = capped(lambda: ref_reduce(p, want, budget))
@@ -659,7 +789,7 @@ def test_groebner_layer_matches_fraction_reference(case):
         assert_same_polys([got_nf], [want_nf])
 
     budget = _Budget(limit)
-    want_ext = capped(lambda: ref_extend(want, p, budget))
+    want_ext = capped(lambda: ref_sig_extend(want, p, budget))
     with recorded_budgets() as made:
         got_ext = capped(lambda: extend(got, p, limits))
     assert [b.left for b in made] == [budget.left]
@@ -667,3 +797,53 @@ def test_groebner_layer_matches_fraction_reference(case):
     if got_ext is not None:
         assert (got_ext is got) == (want_ext is want)
         assert_same_polys(got_ext.generators, [g for _, g in want_ext])
+        classical = ref_extend(want, p, _Budget(UNCAPPED))
+        assert_same_polys(got_ext.generators, [g for _, g in classical])
+
+
+@st.composite
+def ideal_cases(draw):
+    nvars = draw(st.integers(2, 4))
+    exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+    term = st.tuples(exps, st.integers(-3, 3), st.integers(1, 3))
+    gens = st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=4)
+    return nvars, draw(gens)
+
+
+@given(ideal_cases())
+# y^2*w^2 then a remainder that, with the latest element whose signature
+# divides as the rewriter and singularly top-reducible remainders dropped,
+# left y*z*w^4 in the basis in place of z*w^4
+@example(
+    (
+        4,
+        [
+            [((0, 2, 0, 2), -5, 4)],
+            [
+                ((2, 1, 2, 2), 1, 2),
+                ((1, 2, 2, 1), 3, 2),
+                ((2, 2, 1, 0), 1, 2),
+                ((0, 0, 1, 2), 1, 2),
+            ],
+        ],
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_extend_matches_classical_completion(case):
+    # extend one generator at a time, as saturation does, and compare with
+    # the classical completion of all of them at once
+    nvars, gens = case
+    gens = [ref_poly(nvars, g) for g in gens]
+    limits = GroebnerLimits(max_iterations=3000)
+
+    def incremental():
+        basis = buchberger(gens[:1], limits, ctx=REFERENCE_CTXS[nvars])
+        for g in gens[1:]:
+            basis = extend(basis, g, limits)
+        return basis
+
+    got = capped(incremental)
+    if got is None:
+        return
+    want = ref_buchberger([g for g in gens if not g.is_zero()], _Budget(UNCAPPED))
+    assert_same_polys(got.generators, [g for _, g in want])
