@@ -299,7 +299,9 @@ def build_parser():
     parser.add_argument("--max-basis", type=_bound, default=512,
                         help="cap on Groebner basis size")
     parser.add_argument("--timeout-iterations", type=_bound, default=200_000,
-                        help="cap on pair-reduction steps, and on the words "
+                        help="cap on the steps of each Groebner basis "
+                        "computation (normal-form steps and the S-pairs the "
+                        "signature criteria let through), and on the words "
                         "or coefficients that coeffs enumerates")
     parser.add_argument("--stats", action="store_true",
                         help="print saturation statistics")

@@ -269,27 +269,26 @@ def _new_entry(remainder, size, packing, limits):
 
 
 def _interreduce(gens, packing, budget):
-    """Reduce each of ``gens``, entries of monic generators, by the others
-    until none changes; return them sorted ascending by head."""
-    gens = list(gens)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gens)):
-            h, tail, d = gens[i]
-            g = {h: d, **tail}
-            # with no reduction step the remainder is g itself; after one,
-            # it lacks the monomial that step cancelled
-            r, _ = _normal_form(dict(g), d, gens[:i] + gens[i + 1 :], packing, budget)
-            if r != g:
-                changed = True
-                if r:
-                    gens[i] = _monic_entry(r)
-                else:
-                    gens.pop(i)
-                break
-    gens.sort(key=lambda e: e[0])
-    return gens
+    """The reduced Groebner basis of ``gens``, entries of monic generators
+    that form a Groebner basis, sorted ascending by head.
+
+    One pass in ascending order of heads suffices.  An entry whose head a
+    kept head divides is dropped: the kept heads alone generate the
+    ideal of heads, so the rest stay a Groebner basis (of equal heads the
+    first stays, the sort being stable).  Every other entry is kept as its
+    normal form by the entries kept so far.  A head that divides a
+    monomial is no larger than it in grlex, so only smaller heads, all
+    of them kept already, can divide a term of an entry's tail, and no
+    later entry makes an earlier one reducible again.
+    """
+    divides = packing.divides
+    kept = []
+    for h, tail, d in sorted(gens, key=lambda e: e[0]):
+        if any(divides(k[0], h) for k in kept):
+            continue
+        r, _ = _normal_form({h: d, **tail}, d, kept, packing, budget)
+        kept.append(_monic_entry(r))
+    return kept
 
 
 def _adjoin(gens, h, packing, limits, budget):
@@ -327,6 +326,9 @@ def _adjoin(gens, h, packing, limits, budget):
     addition, where the rewriter is the latest element whose signature
     divides ``sigma``, such a remainder must be kept as a rewriter; a
     completion that dropped it lost basis elements.)
+
+    ``gens`` and the new elements together are then a Groebner basis, and
+    :func:`_interreduce` makes it the reduced one in one pass.
     """
     divides, lcm, guards = packing.divides, packing.lcm, packing.guards
     syzygies = [g[0] for g in gens]
@@ -377,23 +379,7 @@ def _adjoin(gens, h, packing, limits, budget):
             syzygies.append(sigma)
             continue
         add(_new_entry(rem, len(gens) + len(signed), packing, limits), sigma)
-    # A generator whose head another one's divides (or equals, for all but
-    # the first) reduces to zero by the rest, which are a Groebner basis
-    # without it: drop it rather than reduce it in the interreduction.  A
-    # head of ``gens`` divides no other head, old or new, so only the new
-    # heads are tried.
-    first = len(gens)
-    gens = [*gens, *(e[:3] for e in signed)]
-    kept = [
-        e
-        for i, e in enumerate(gens)
-        if not any(
-            divides(v[0], e[0]) and (v[0] != e[0] or first + j < i)
-            for j, v in enumerate(signed)
-            if first + j != i
-        )
-    ]
-    return _interreduce(kept, packing, budget)
+    return _interreduce([*gens, *(e[:3] for e in signed)], packing, budget)
 
 
 def buchberger(gens, limits: GroebnerLimits = None, ctx=None) -> GroebnerBasis:

@@ -569,7 +569,7 @@ def ref_sig_adjoin(gens, h, budget):
     signature (a head of ``gens`` or an earlier reduction to zero) divides
     theirs or when their element is not the one whose multiple of that
     signature has the smallest head (the latest of those); then the
-    minimal generators are interreduced."""
+    generators are interreduced in one pass, ascending by head."""
     nv = len(h.ctx)
 
     def key(m):
@@ -624,18 +624,14 @@ def ref_sig_adjoin(gens, h, budget):
             syzygies.append(sigma)
         else:
             add(ref_entry(rem), sigma)
-    # drop the generators whose head another one's divides (the first of
-    # equal heads stays), then interreduce
+    # one ascending pass: drop a generator whose head a kept head divides
+    # (the first of equal heads stays), reduce the rest by those kept
     gens = gens + [(hw, w) for hw, w, _ in signed]
-    kept = [
-        e
-        for i, e in enumerate(gens)
-        if not any(
-            j != i and mono_divides(f[0], e[0], nv) and (f[0] != e[0] or j < i)
-            for j, f in enumerate(gens)
-        )
-    ]
-    return ref_interreduce(kept, budget)
+    kept = []
+    for hm, g in sorted(gens, key=lambda e: key(e[0])):
+        if not any(mono_divides(k, hm, nv) for k, _ in kept):
+            kept.append(ref_entry(ref_reduce(g, kept, budget)))
+    return kept
 
 
 def ref_sig_buchberger(gens, budget):
@@ -743,6 +739,12 @@ def reduction_cases(draw):
 # x^2*z - x^2*y*z^2 then x*y: a reduction to zero whose signature drops a
 # later J-pair
 @example((3, [[((2, 0, 1), 1, 1), ((2, 1, 2), -1, 1)], [((1, 1, 0), 2, 1)]], [], 400))
+# x^2 + y extended by x: the new head divides the old one, so x^2 + y is
+# dropped and the basis is y, x
+@example((2, [[((2, 0), 1, 1), ((0, 1), 1, 1)]], [((1, 0), 1, 1)], 400))
+# y^2 + x extended by x: the new head divides a term of the old tail, so
+# that tail is rewritten and the basis is x, y^2
+@example((2, [[((0, 2), 1, 1), ((1, 0), 1, 1)]], [((1, 0), 1, 1)], 400))
 # A remainder top-reducible only by a multiple of its own signature: with
 # the latest element whose signature divides as the rewriter, dropping it
 # lost y^5*z - y^4*z + ... from the basis.  The rewriter of smallest head

@@ -62,7 +62,7 @@ def test_budget_prevents_reduction_blowup():
 
 def test_step_counts_of_a_saturation_are_pinned():
     # The c_mul identity of trial 3 in the first test decides ZERO when
-    # each basis computation may spend 161 steps and not with 160.  The
+    # each basis computation may spend 141 steps and not with 140.  The
     # step budget decides which queries end INCONCLUSIVE, so a change to
     # pair order, the signature criteria or interreduction shows up here
     # rather than as a silent verdict shift.
@@ -76,10 +76,10 @@ def test_step_counts_of_a_saturation_are_pinned():
         limits = replace(LIMITS, max_iterations=steps)
         return C.equivalent(C.c_mul(f, g), C.c_mul(g, f), limits=limits)
 
-    decided = verdict(161)
+    decided = verdict(141)
     assert decided.outcome is Outcome.ZERO and decided.detail == ""
     assert decided.stats == SaturationStats(chain_length=2, basis_size=9, max_degree=4)
-    short = verdict(160)
+    short = verdict(140)
     assert short.outcome is Outcome.INCONCLUSIVE_RESOURCE_LIMIT
     assert short.detail == "resource cap 'max_iterations' exceeded: exhausted > budget"
     assert short.stats == SaturationStats(chain_length=1, basis_size=3, max_degree=4)
