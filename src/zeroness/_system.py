@@ -8,12 +8,22 @@ adjoin, inverse, prune, fresh names, the packed fold of a word of ops and
 the decision are written here once.  The species compiler grows its
 system with the same :func:`adjoin` and :func:`union`.
 
+A query builds its system once.  A :func:`union` keeps the base systems
+it joins as its parts and names its generators at once, but moves no
+image: a closure, a merge, or a union of unions costs its names, its
+point and its expressions.  :func:`decide` prunes on the parts, by
+variable sets each base derivation caches, and moves each kept image
+once, from its base straight into the pruned system, packed as the
+saturation runs it (:func:`~zeroness.poly.gather`).  A union's own ops
+are built the same way, when something reads them (adjoin, inverse, a
+view's letters or axes).
+
 Polynomials move between contexts by variable id, never by name: each
 generator is kept, shifted or renumbered increasingly by
 :func:`~zeroness.poly.transport`, the packed renumbering that
-:meth:`~zeroness.poly.Poly.rename` also runs.  That keeps the
-generators' relative order, so the monomial order and every Groebner
-step stay the same.
+:meth:`~zeroness.poly.Poly.rename` also runs, or by ``gather`` for the
+images of ops.  That keeps the generators' relative order, so the
+monomial order and every Groebner step stay the same.
 """
 
 from __future__ import annotations
@@ -29,20 +39,64 @@ from .poly import (
     _evaluate,
     _over_common_denominator,
     _packing,
+    gather,
     transport,
 )
 
 
 class System:
     """Generators ``ctx``, the ordered derivations ``ops`` and ``point``,
-    each generator's value by variable id."""
+    each generator's value by variable id.
 
-    __slots__ = ("ctx", "ops", "point")
+    A system made from its ops is a base.  A :func:`union` is made from
+    ``parts``: the bases it joins, in order, each with the offset of its
+    first generator, a repeated base once per occurrence.  Its ``ctx`` and
+    ``point`` are built at once and its ops at the first read, each image
+    moved from its base straight into ``ctx`` (:func:`_gather`), then
+    kept.  :func:`prune` reads the parts, so a union that is only pruned
+    and decided never builds its own ops."""
+
+    __slots__ = ("ctx", "point", "_ops", "_parts")
 
     def __init__(self, ctx: Context, ops, point):
         self.ctx = ctx
-        self.ops = tuple(ops)
+        self._ops = tuple(ops)
         self.point = tuple(point)
+        self._parts = None
+
+    @classmethod
+    def _joined(cls, ctx: Context, parts, point) -> "System":
+        system = object.__new__(cls)
+        system.ctx, system.point = ctx, point
+        system._ops, system._parts = None, parts
+        return system
+
+    @property
+    def parts(self) -> tuple:
+        """``(base, offset)`` per part; a base is its own one part."""
+        return self._parts or ((self, 0),)
+
+    @property
+    def ops(self) -> tuple:
+        if self._ops is None:
+            self._ops = _gather(_arity(self), self.parts, self.ctx, range(len(self.ctx)))
+        return self._ops
+
+
+def _arity(system: System) -> int:
+    """The number of ops, read off the first base."""
+    return len(system.parts[0][0].ops)
+
+
+def _gather(nops: int, parts, ctx: Context, ids) -> tuple:
+    """The ``nops`` ops over ``ctx`` of the bases ``parts``: generator
+    ``v`` of the part at offset ``o`` is ``ids[o + v]`` of ``ctx``, or
+    dropped where that is None.  Each kept image moves from its base
+    context straight into ``ctx``, in the order of the parts, then of
+    each base op's images (:func:`~zeroness.poly.gather`)."""
+    return gather(
+        ctx, nops, [(base.ctx, base._ops, ids[o : o + len(base.ctx)]) for base, o in parts]
+    )
 
 
 def fresh(stem: str, taken) -> str:
@@ -55,9 +109,11 @@ def fresh(stem: str, taken) -> str:
 def union(first: System, second: System, suffixes=("_1", "_2")):
     """Disjoint union of two systems with as many ops; ``first``'s
     generators come first, renamed with the suffixes, and each name of
-    ``second`` passes through :func:`fresh`.  Returns the union and, per
+    ``second`` passes through :func:`fresh`.  Its parts are those of
+    ``first`` and then those of ``second``, shifted past ``first``; no
+    image is moved until its ops are read.  Returns the union and, per
     part, the function moving its polynomials into it."""
-    if len(first.ops) != len(second.ops):
+    if _arity(first) != _arity(second):
         raise ArityMismatch("systems over different base dimensions")
     s1, s2 = suffixes
     names = [n + s1 for n in first.ctx.names]
@@ -66,13 +122,9 @@ def union(first: System, second: System, suffixes=("_1", "_2")):
     ctx = Context(names)
     n = len(first.ctx)
     shift = range(n, n + len(second.ctx))
-    ops = []
-    for a, b in zip(first.ops, second.ops):
-        images = {v: transport(p, ctx) for v, p in a.images.items()}
-        images.update({shift[v]: transport(p, ctx, shift) for v, p in b.images.items()})
-        ops.append(Derivation(ctx, images))
+    parts = first.parts + tuple((base, n + offset) for base, offset in second.parts)
     return (
-        System(ctx, ops, first.point + second.point),
+        System._joined(ctx, parts, first.point + second.point),
         lambda p: transport(p, ctx),
         lambda p: transport(p, ctx, shift),
     )
@@ -80,14 +132,17 @@ def union(first: System, second: System, suffixes=("_1", "_2")):
 
 def merge(parts):
     """``(system, exprs)`` for the pairs ``parts``: the system all share, or
-    else their :func:`union` folded from the left, each expr moved into it."""
+    else their :func:`union` folded from the left, each expr moved into it
+    once."""
     system = parts[0][0]
     if all(s is system for s, _ in parts):
         return system, [e for _, e in parts]
-    exprs = [parts[0][1]]
-    for s, e in parts[1:]:
-        system, lift1, lift2 = union(system, s)
-        exprs = [*map(lift1, exprs), lift2(e)]
+    for s, _ in parts[1:]:
+        system, _, _ = union(system, s)
+    exprs, offset = [], 0
+    for s, e in parts:
+        exprs.append(transport(e, system.ctx, range(offset, offset + len(s.ctx))))
+        offset += len(s.ctx)
     return system, exprs
 
 
@@ -128,39 +183,49 @@ def prune(system: System, exprs):
     """Keep only the generators that ``exprs`` reach through the ops.
     Returns the pruned system (``system`` itself when all are reached) and
     ``exprs`` moved into it.  A dropped generator occurs in nothing the
-    ops reach from ``exprs``, so saturating either side is the same."""
+    ops reach from ``exprs``, so saturating either side is the same.
+
+    Reachability runs on the parts, by the variable sets that each base
+    derivation caches for its images (a part's images name only its own
+    generators), and each kept image moves from its base into the pruned
+    context by one :func:`_gather`, which reads no part with nothing kept."""
     needed = set()
     for e in exprs:
         if e.ctx is not system.ctx:
             raise ContextMismatch("expression outside the system's context")
         needed |= e.variables()
-    frontier = list(needed)
-    while frontier:
-        v = frontier.pop()
-        for op in system.ops:
-            image = op.images.get(v)
-            if image is None:
-                continue
-            for w in image.variables():
-                if w not in needed:
-                    needed.add(w)
-                    frontier.append(w)
-    if len(needed) == len(system.ctx):
+    keep, kept_parts = [], []
+    for base, offset in system.parts:
+        n = len(base.ctx)
+        seeds = [v - offset for v in needed if offset <= v < offset + n]
+        if seeds:
+            keep.extend(offset + v for v in sorted(_reached(base.ops, seeds)))
+            kept_parts.append((base, offset))
+    if len(keep) == len(system.ctx):
         return system, list(exprs)
-    keep = sorted(needed)
     ids = [None] * len(system.ctx)
     for i, v in enumerate(keep):
         ids[v] = i
     ids = tuple(ids)
     ctx = Context([system.ctx.name_of(v) for v in keep])
-    ops = [
-        Derivation(
-            ctx, {ids[v]: transport(p, ctx, ids) for v, p in op.images.items() if v in needed}
-        )
-        for op in system.ops
-    ]
+    ops = _gather(_arity(system), kept_parts, ctx, ids)
     pruned = System(ctx, ops, [system.point[v] for v in keep])
     return pruned, [transport(e, ctx, ids) for e in exprs]
+
+
+def _reached(ops, seeds) -> set:
+    """The generators that ``seeds`` reach through the images of ``ops``."""
+    needed = set(seeds)
+    frontier = list(needed)
+    data = [op._image_data() for op in ops]
+    while frontier:
+        v = frontier.pop()
+        for images in data:
+            for w in images[v][0] if v in images else ():
+                if w not in needed:
+                    needed.add(w)
+                    frontier.append(w)
+    return needed
 
 
 def fold(start: Poly, word):

@@ -312,7 +312,13 @@ def _adjoin(gens, h, packing, limits, budget):
 
     - when a syzygy signature divides it: the head of some ``g`` of
       ``gens`` (the F5 criterion: ``g * h`` lies in ideal(``gens``)) or
-      the signature of an earlier reduction to 0;
+      the signature of an earlier reduction to 0.  The test depends on
+      ``sigma`` alone and the syzygies only grow, so a J-pair with a
+      ``g`` whose own head divides its ``sigma`` (as it does whenever
+      the two heads are coprime) is dropped when it is formed, in one
+      division test; the others are tested against every syzygy when
+      their signature is popped (a scan of every syzygy at each push
+      costs more than the pairs it drops);
     - when its rewriter has no J-pair there (the rewrite criterion).  The
       rewriter of ``sigma`` is the element ``v`` with ``sig(v)`` dividing
       ``sigma`` whose multiple of signature ``sigma`` has the smallest
@@ -335,17 +341,18 @@ def _adjoin(gens, h, packing, limits, budget):
     signed, pairs = [], []
     seq = itertools.count()
 
-    def push(sigma, i, partner):
+    def push(sigma, i, partner, fixed=False):
         if sigma & guards:
             raise packing.overflow(sigma)
-        heapq.heappush(pairs, (sigma, next(seq), i, partner))
+        if not (fixed and divides(partner[0], sigma)):
+            heapq.heappush(pairs, (sigma, next(seq), i, partner))
 
     def add(entry, sig):
         """``entry`` joins ``signed`` with signature ``sig``, and its
         J-pairs ``(sigma, seq, element index, partner entry)`` the heap."""
         hw, i = entry[0], len(signed)
         for g in gens:
-            push(lcm(hw, g[0]) - hw + sig, i, g)
+            push(lcm(hw, g[0]) - hw + sig, i, g, fixed=True)
         for j, (hu, tu, du, su) in enumerate(signed):
             l = lcm(hw, hu)
             a, b = l - hw + sig, l - hu + su

@@ -711,10 +711,12 @@ class Derivation:
     by increasing variable id ``v`` and ``d`` is the images' common
     denominator.  It is built at the first application; a derivation that
     is built but never applied (those of a closure's input systems are only
-    read) does not pay for it.
+    read) does not pay for it.  A derivation that :func:`gather` builds
+    gets it at once, put together from its sources' ``_data``, the
+    per-image cache of :meth:`_image_data`.
     """
 
-    __slots__ = ("ctx", "images", "_packed")
+    __slots__ = ("ctx", "images", "_packed", "_data")
 
     def __init__(self, ctx: Context, images: dict):
         for p in images.values():
@@ -723,6 +725,7 @@ class Derivation:
         self.ctx = ctx
         self.images = dict(images)
         self._packed = None
+        self._data = None
 
     @property
     def degree(self) -> int:
@@ -732,6 +735,19 @@ class Derivation:
 
     def image(self, vid: int) -> Poly:
         return self.images.get(vid, self.ctx.zero())
+
+    def _image_data(self) -> dict:
+        """Per generator with an image, ``(variables, numerators, d)``: the
+        ids of the variables the image has, and the ``int`` numerators of
+        its terms, in stored order, over ``d``, the lcm of the image's own
+        denominators.  Built at the first call; the reachability of
+        ``_system.prune`` and :func:`gather` read it."""
+        if self._data is None:
+            self._data = {}
+            for v, p in self.images.items():
+                (scaled,), d = _over_common_denominator(p.terms)
+                self._data[v] = (tuple(p.variables()), tuple(scaled.values()), d)
+        return self._data
 
     def __call__(self, p: Poly) -> Poly:
         """Apply the derivation: :meth:`_apply` on the numerators of ``p``."""
@@ -789,3 +805,63 @@ class Derivation:
                 images.append((packing.shifts[v], tuple((m - unit, c) for m, c in terms.items())))
             self._packed = tuple(images), di
         return self._packed
+
+
+def gather(ctx: Context, nops: int, sources) -> tuple:
+    """The ``nops`` derivations of ``ctx`` that join those of ``sources``.
+    Each source is ``(context, ops, ids)``: ``nops`` ops, and ``ids``
+    sending generator ``v`` of the context to ``ids[v]`` of ``ctx``, one
+    to one, or dropping it where that is None.  Op ``k`` of the result
+    holds the images of op ``k`` of every source, by source, then as that
+    op stores them, each moved as :func:`transport` moves it; the move is
+    one to one, so no terms meet and no exponent grows, and the slices of
+    a source are looked up once.
+
+    Each result's ``_packed`` is built in the same pass from the sources'
+    per-image numerators (:meth:`Derivation._image_data`): a moved
+    image keeps the order and coefficients of its terms, and the lcm of
+    the images' own denominators is their common one, so these are the
+    ints its first application would compute.
+    """
+    packing = _packing(len(ctx))
+    unit, shifts, top = packing.unit, packing.shifts, packing.top
+    images = [{} for _ in range(nops)]
+    moved = [[] for _ in range(nops)]
+    dens = [1] * nops
+    for source, ops, ids in sources:
+        source_top, _, slices = _slices(len(source), len(ctx), ids)
+        for k, op in enumerate(ops):
+            data = op._image_data()
+            for v, p in op.images.items():
+                t = ids[v]
+                if t is None:
+                    continue
+                var = (1 << shifts[t]) + unit
+                terms, offsets = {}, []
+                for m, c in p.terms.items():
+                    x = (m >> source_top) << top
+                    for s, mask, shift in slices:
+                        x += ((m >> s) & mask) << shift
+                    terms[x] = c
+                    offsets.append(x - var)
+                q = images[k][t] = object.__new__(Poly)  # no zero to drop
+                q.ctx, q.terms = ctx, terms
+                if terms:
+                    _, nums, d = data[v]
+                    if dens[k] % d:
+                        dens[k] = dens[k] // gcd(dens[k], d) * d
+                    moved[k].append((t, offsets, nums, d))
+    out = []
+    for into, entries, den in zip(images, moved, dens):
+        op = Derivation(ctx, into)
+        if entries:
+            entries.sort()  # by target id, as the targets are distinct
+            op._packed = (
+                tuple(
+                    (shifts[t], tuple(zip(offsets, nums if d == den else [n * (den // d) for n in nums])))
+                    for t, offsets, nums, d in entries
+                ),
+                den,
+            )
+        out.append(op)
+    return tuple(out)

@@ -214,9 +214,10 @@ def disjoint_union(m1: Wbpp, m2: Wbpp):
     alphabet = m1.alphabet + tuple(a for a in m2.alphabet if a not in m1.alphabet)
 
     def padded(m):
+        if m.alphabet == alphabet:
+            return m.core
         zero = Derivation(m.ctx, {})
-        ops = [m.op(a) if a in m.alphabet else zero for a in alphabet]
-        return m.core if m.alphabet == alphabet else System(m.ctx, ops, m.outputs)
+        return System(m.ctx, [m.op(a) if a in m.alphabet else zero for a in alphabet], m.outputs)
 
     core, (s1, s2) = merge([(padded(m1), m1.start), (padded(m2), m2.start)])
     return Wbpp.of(alphabet, core, s1), s1, s2
