@@ -12,8 +12,8 @@ and then the start polynomial's whole derivation closure vanishes at the
 point, so the answer is ZERO.
 
 Each retained polynomial joins the basis through ``groebner.extend``,
-which adjoins its normal form to the old reduced basis by a signature
-completion: S-pairs whose signature an old head or an earlier reduction
+which reduces it until its head is irreducible and adjoins it to the old
+reduced basis by a signature completion: S-pairs whose signature an old head or an earlier reduction
 to zero divides are never reduced, and those are most of the pairs the
 chain would otherwise reduce to zero.  The step budget is per ``extend``
 call, so which queries end INCONCLUSIVE under ``max_iterations`` follows

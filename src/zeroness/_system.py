@@ -264,6 +264,12 @@ def _check_context(op: Derivation, start: Poly):
 
 def decide(system: System, expr: Poly, limits=None):
     """Prune to what ``expr`` reaches, then saturate: ZERO iff every word
-    of ops sends ``expr`` to a polynomial vanishing at the point."""
+    of ops sends ``expr`` to a polynomial vanishing at the point.  A
+    constant is decided by its value alone, before any pruning and
+    without reading the ops, which a :func:`union` would then build."""
+    if expr.is_constant():
+        if expr.ctx is not system.ctx:
+            raise ContextMismatch("expression outside the system's context")
+        return saturate(expr, (), system.point, limits)
     system, (expr,) = prune(system, [expr])
     return saturate(expr, system.ops, system.point, limits)

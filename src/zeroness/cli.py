@@ -300,9 +300,10 @@ def build_parser():
                         help="cap on Groebner basis size")
     parser.add_argument("--timeout-iterations", type=_bound, default=200_000,
                         help="cap on the steps of each Groebner basis "
-                        "computation (normal-form steps and the S-pairs the "
-                        "signature criteria let through), and on the words "
-                        "or coefficients that coeffs enumerates")
+                        "computation (terms read off until a head is "
+                        "irreducible, terms of the final reduced basis, and "
+                        "the S-pairs the signature criteria let through), and "
+                        "on the words or coefficients that coeffs enumerates")
     parser.add_argument("--stats", action="store_true",
                         help="print saturation statistics")
     sub = parser.add_subparsers(dest="command", required=True)

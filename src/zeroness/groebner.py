@@ -6,12 +6,15 @@ Groebner basis, and saturation loops extend bases incrementally.
 
 A basis grows by one polynomial at a time (:func:`extend`, and
 :func:`buchberger` folds it over its generators).  Each step completes
-the old reduced basis and the new polynomial's normal form by
-signatures, so that most S-pairs that would reduce to zero are never
-formed: J. C. Faugere, "A new efficient algorithm for computing Groebner
-bases without reduction to zero (F5)", ISSAC 2002; C. Eder and J. C.
-Faugere, "A survey on signature-based algorithms for computing Groebner
-bases", J. Symbolic Comput. 80 (2017).  See :func:`_adjoin`.
+the old reduced basis and the new polynomial by signatures, so that most
+S-pairs that would reduce to zero are never formed: J. C. Faugere, "A
+new efficient algorithm for computing Groebner bases without reduction
+to zero (F5)", ISSAC 2002; C. Eder and J. C. Faugere, "A survey on
+signature-based algorithms for computing Groebner bases", J. Symbolic
+Comput. 80 (2017).  See :func:`_adjoin`.  The new polynomial and each
+S-pair are reduced only until their head is irreducible
+(:func:`_top_reduce`); one final pass reduces every tail
+(:func:`_interreduce`).
 
 Every basis is taken under graded lex with variable 0 highest, the one
 monomial order of the library; membership is the same under any order.
@@ -50,11 +53,14 @@ class GroebnerLimits:
     """Caps that keep the doubly exponential worst case from hanging.
 
     ``max_iterations`` bounds the steps of one :func:`buchberger`,
-    :func:`extend` or :func:`reduce` call.  A step is one term a normal
-    form reads off (cancelled by a reducer or kept in the remainder), or
-    one S-pair whose signature the criteria of :func:`_adjoin` let
-    through to reduction; normal forms in the final interreduction count
-    too.  Conservative defaults; raise them on an inconclusive outcome.
+    :func:`extend` or :func:`reduce` call.  A step is one term a reduction
+    reads off (cancelled by a reducer or left standing), or one S-pair
+    whose signature the criteria of :func:`_adjoin` let through to
+    reduction.  In a completion, a polynomial is read off only until its
+    head is irreducible, the irreducible head included
+    (:func:`_top_reduce`); the final pass, :func:`_interreduce`, and
+    :func:`reduce` read off every term.  Conservative defaults; raise
+    them on an inconclusive outcome.
     """
 
     max_degree: int = 64
@@ -157,41 +163,72 @@ def reduce(p: Poly, basis: GroebnerBasis, limits: "GroebnerLimits" = None) -> Po
     """
     limits = limits or DEFAULT_LIMITS
     budget = _Budget(limits.max_iterations)
-    remainder, den = _reduce(p, basis.ctx, basis.entries, basis.packing, budget)
+    work, den = _numerators(p, basis.ctx)
+    remainder, den = _normal_form(work, den, basis.entries, basis.packing, budget)
     return _from_numerators(p.ctx, remainder, den)
 
 
-def _reduce(p, ctx, entries, packing, budget: _Budget):
-    """``(remainder, den)`` of :func:`_normal_form` for ``p``, a ``Poly``
-    of ``ctx``, on the ``int`` numerators of its terms."""
+def _numerators(p, ctx):
+    """``(work, den)``: the ``int`` numerators of the terms of ``p``, a
+    ``Poly`` of ``ctx``, over one denominator."""
     if p.ctx is not ctx:
         raise ContextMismatch("polynomial outside the basis's context")
     (work,), den = _over_common_denominator(p.terms)
-    return _normal_form(work, den, entries, packing, budget)
+    return work, den
 
 
-def _normal_form(work, den, entries, packing, budget, signed=(), sigma=0):
-    """Normal form of the polynomial ``work / den`` by ``entries``, tuples
-    of :func:`_monic_entry`, where ``work`` maps packed monomials to
-    ``int`` numerators over the one denominator ``den``.  Returns
-    ``(remainder, den)`` in the same form, the remainder's monomials in
-    descending order.
-
-    ``signed`` holds further reducers ``(head, tail, d, sig)`` of
-    signature ``sig`` (see :func:`_adjoin`); one may cancel the monomial
-    ``m`` only when ``(m / head) * sig < sigma``, so that the reduction
-    keeps the signature ``sigma`` of ``work``.  Reducers of ``entries``
-    are tried first, in stored order, then those of ``signed``.
+def _subtract(work, heap, m, c, den, reducer, packing):
+    """Cancel the term ``c * m`` of ``work / den``, already taken out of
+    ``work``, by ``reducer``, an entry ``(head, tail, d)`` whose head
+    divides ``m``; monomials new to ``work`` join ``heap``, negated.
+    Returns ``(work, den, k)``, where the numerators were first scaled by
+    ``k`` if ``d`` does not divide ``c``.
 
     Reduction runs on the numerators: a reducer ``head + tail / d`` with
     ``d`` dividing the current numerator ``c`` subtracts ``c // d`` times
     its shifted tail.  When ``d`` does not divide ``c``, every numerator
-    and ``den`` are first scaled by ``d / gcd(c, d)``.
+    and ``den`` are first scaled by ``k = d / gcd(c, d)``.  The head term
+    cancels exactly, and every introduced monomial is strictly below ``m``
+    in the order.  A term cancelled to 0 stays in ``work``, so each
+    monomial is queued at most once.
+    """
+    h, tail, d = reducer
+    k = 1
+    if c % d:
+        k = d // gcd(c, d)
+        c *= k
+        den *= k
+        work = {t: x * k for t, x in work.items()}
+    q = c // d
+    shift = m - h
+    guards = packing.guards
+    for gm, gc in tail.items():
+        t = gm + shift
+        if t & guards:
+            raise packing.overflow(t)
+        prev = work.get(t)
+        if prev is None:
+            heapq.heappush(heap, -t)
+            work[t] = -q * gc
+        else:
+            work[t] = prev - q * gc
+    return work, den, k
+
+
+def _normal_form(work, den, entries, packing, budget):
+    """Full normal form of the polynomial ``work / den`` by ``entries``,
+    tuples of :func:`_monic_entry`, where ``work`` maps packed monomials to
+    ``int`` numerators over the one denominator ``den``.  Returns
+    ``(remainder, den)`` in the same form, the remainder's monomials in
+    descending order.  Reducers are tried in stored order.
+
+    Only :func:`reduce` and the final pass of a completion,
+    :func:`_interreduce`, reduce every term; the completion itself only
+    top-reduces (:func:`_top_reduce`).
     """
     guards = packing.guards
-    heappop, heappush = heapq.heappop, heapq.heappush
-    # A term cancelled to 0 stays in ``work``, so each monomial is queued at
-    # most once; negated, the largest pops first.
+    heappop = heapq.heappop
+    # negated, the largest monomial pops first
     heap = [-m for m in work]
     heapq.heapify(heap)
     remainder = {}
@@ -202,40 +239,57 @@ def _normal_form(work, den, entries, packing, budget, signed=(), sigma=0):
             continue
         budget.spend()
         mg = m | guards
-        for h, tail, d in entries:
-            if (mg - h) & guards == guards:
+        for reducer in entries:
+            if (mg - reducer[0]) & guards == guards:
+                break
+        else:
+            remainder[m] = c
+            continue
+        work, den, k = _subtract(work, heap, m, c, den, reducer, packing)
+        if k != 1:
+            remainder = {t: x * k for t, x in remainder.items()}
+    return remainder, den
+
+
+def _top_reduce(work, den, entries, packing, budget, signed=(), sigma=0):
+    """``work / den``, in the form of :func:`_normal_form`, reduced by
+    ``entries`` until no reducer divides its head: ``(rest, den)``, where
+    ``rest`` holds the nonzero terms left, its head irreducible and its
+    tail as the reductions left it, or is empty.  One step is spent on
+    each term read off, the irreducible head included.
+
+    ``signed`` holds further reducers ``(head, tail, d, sig)`` of
+    signature ``sig`` (see :func:`_adjoin`); one may cancel the monomial
+    ``m`` only when ``(m / head) * sig < sigma``, so that the reduction
+    keeps the signature ``sigma`` of ``work``.  Reducers of ``entries``
+    are tried first, in stored order, then those of ``signed``.
+    """
+    guards = packing.guards
+    heappop = heapq.heappop
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m)
+        if not c:
+            continue
+        budget.spend()
+        mg = m | guards
+        for reducer in entries:
+            if (mg - reducer[0]) & guards == guards:
                 break
         else:
             # A sum of packed monomials that overflows a field keeps every
             # field's exact value, so it still compares in grlex.
             for h, tail, d, sig in signed:
                 if (mg - h) & guards == guards and m - h + sig < sigma:
+                    reducer = h, tail, d
                     break
             else:
-                remainder[m] = c
-                continue
-        # work -= c * (m / h) * (h + tail / d): the head term cancels
-        # exactly, and every introduced monomial is strictly below m in
-        # the order.
-        if c % d:
-            k = d // gcd(c, d)
-            c *= k
-            den *= k
-            work = {t: x * k for t, x in work.items()}
-            remainder = {t: x * k for t, x in remainder.items()}
-        q = c // d
-        shift = m - h
-        for gm, gc in tail.items():
-            t = gm + shift
-            if t & guards:
-                raise packing.overflow(t)
-            prev = work.get(t)
-            if prev is None:
-                heappush(heap, -t)
-                work[t] = -q * gc
-            else:
-                work[t] = prev - q * gc
-    return remainder, den
+                work[m] = c
+                return {t: x for t, x in work.items() if x}, den
+        work, den, _ = _subtract(work, heap, m, c, den, reducer, packing)
+    return {}, den
 
 
 def _s_poly_work(f, g, l, packing):
@@ -272,14 +326,17 @@ def _interreduce(gens, packing, budget):
     """The reduced Groebner basis of ``gens``, entries of monic generators
     that form a Groebner basis, sorted ascending by head.
 
-    One pass in ascending order of heads suffices.  An entry whose head a
-    kept head divides is dropped: the kept heads alone generate the
-    ideal of heads, so the rest stay a Groebner basis (of equal heads the
-    first stays, the sort being stable).  Every other entry is kept as its
-    normal form by the entries kept so far.  A head that divides a
-    monomial is no larger than it in grlex, so only smaller heads, all
-    of them kept already, can divide a term of an entry's tail, and no
-    later entry makes an earlier one reducible again.
+    This final pass of a completion is where every tail is reduced: the
+    completion reduces the new elements only until their heads are
+    irreducible.  One pass in ascending order of heads suffices.  An entry
+    whose head a kept head divides is dropped: the kept heads alone
+    generate the ideal of heads, so the rest stay a Groebner basis (of
+    equal heads the first stays, the sort being stable).  Every other
+    entry is kept as its normal form by the entries kept so far.  A head
+    that divides a monomial is no larger than it in grlex, so only
+    smaller heads, all of them kept already, can divide a term of an
+    entry's tail, and no later entry makes an earlier one reducible
+    again.
     """
     divides = packing.divides
     kept = []
@@ -294,7 +351,8 @@ def _interreduce(gens, packing, budget):
 def _adjoin(gens, h, packing, limits, budget):
     """Entries of the reduced Groebner basis of ideal(``gens``) + <``h``>,
     where ``gens`` are the entries of a reduced Groebner basis and ``h``,
-    a nonzero remainder of :func:`_normal_form` by them, is irreducible.
+    a nonzero remainder of :func:`_top_reduce` by them, has a head that no
+    head of ``gens`` divides.
 
     The completion is the rewrite-basis algorithm of Eder and Faugere's
     survey, run over ``gens``, which stay fixed.  Each new element ``v``
@@ -326,15 +384,21 @@ def _adjoin(gens, h, packing, limits, budget):
       signature-to-head ratio of Eder and Roune (ISSAC 2013), which is the
       cover criterion of Gao, Volny and Wang (Math. Comp. 2016).
 
-    A remainder is then never top-reducible by a multiple of signature
-    ``sigma`` alone: that multiple would have a smaller head than the
-    rewriter's, so the remainder joins the basis.  (Under the order of
-    addition, where the rewriter is the latest element whose signature
-    divides ``sigma``, such a remainder must be kept as a rewriter; a
-    completion that dropped it lost basis elements.)
+    The J-pair of a signature left is top-reduced (:func:`_top_reduce`):
+    regular reduction of its head, by ``gens`` and by the multiples of
+    signature below ``sigma``, until the head is irreducible.  The head,
+    and whether the pair reduces to 0, do not depend on how far its tail
+    is reduced, so the tails of new elements are left as the reductions
+    made them.  A remainder is then never top-reducible by a multiple of
+    signature ``sigma`` alone: that multiple would have a smaller head
+    than the rewriter's, so the remainder joins the basis.  (Under the
+    order of addition, where the rewriter is the latest element whose
+    signature divides ``sigma``, such a remainder must be kept as a
+    rewriter; a completion that dropped it lost basis elements.)
 
     ``gens`` and the new elements together are then a Groebner basis, and
-    :func:`_interreduce` makes it the reduced one in one pass.
+    :func:`_interreduce` makes it the reduced one in one pass, reducing
+    every tail there.
     """
     divides, lcm, guards = packing.divides, packing.lcm, packing.guards
     syzygies = [g[0] for g in gens]
@@ -381,7 +445,7 @@ def _adjoin(gens, h, packing, limits, budget):
         budget.spend()
         f, g = signed[r][:3], pair[3]
         work, den = _s_poly_work(f, g, lcm(f[0], g[0]), packing)
-        rem, _ = _normal_form(work, den, gens, packing, budget, signed, sigma)
+        rem, _ = _top_reduce(work, den, gens, packing, budget, signed, sigma)
         if not rem:
             syzygies.append(sigma)
             continue
@@ -408,7 +472,7 @@ def buchberger(gens, limits: GroebnerLimits = None, ctx=None) -> GroebnerBasis:
     budget = _Budget(limits.max_iterations)
     basis = []
     for g in gens:
-        h, _ = _reduce(g, ctx, basis, packing, budget)
+        h, _ = _top_reduce(*_numerators(g, ctx), basis, packing, budget)
         if h:
             basis = _adjoin(basis, h, packing, limits, budget)
     return GroebnerBasis(ctx, basis)
@@ -426,10 +490,11 @@ def extend(basis: GroebnerBasis, p, limits: GroebnerLimits = None) -> GroebnerBa
     packing, entries = basis.packing, basis.entries
     budget = _Budget(limits.max_iterations)
     if isinstance(p, Poly):
-        h, _ = _reduce(p, basis.ctx, entries, packing, budget)
+        work, den = _numerators(p, basis.ctx)
     else:
-        packed, den = p  # the normal form consumes its work: copy it
-        h, _ = _normal_form(dict(packed), den, entries, packing, budget)
+        packed, den = p  # the reduction consumes its work: copy it
+        work = dict(packed)
+    h, _ = _top_reduce(work, den, entries, packing, budget)
     if not h:
         return basis
     return GroebnerBasis(basis.ctx, _adjoin(entries, h, packing, limits, budget))

@@ -313,3 +313,39 @@ def test_deciding_a_sum_against_its_swap_moves_each_operand_image_twice(monkeypa
     verdict = W.equivalent(W.sum_(f, g), W.sum_(g, f))
     assert verdict.is_zero
     assert {i: moves[i] for i in images} == dict.fromkeys(images, 2)
+
+
+def test_a_constant_is_decided_without_pruning_or_the_ops(monkeypatch):
+    """f against f + 1 and a derivative of a scaled series against the
+    scaled derivative differ by a constant; their verdicts are those of
+    pruning and saturating, though nothing is pruned or gathered."""
+    ctx = Context(["u", "v"])
+    u, v = ctx.var("u"), ctx.var("v")
+    ops = [Derivation(ctx, {0: u * v}), Derivation(ctx, {1: v + 1})]
+    f = C.CdfSeries(C.CdfSystem.of(AXES, _system.System(ctx, ops, [1, 2])), u + v)
+    g = C.CdfSeries(C.CdfSystem.of(AXES, _system.System(ctx, ops[::-1], [3, 1])), u * u)
+    s, t = C.c_add(f, g), C.c_add(f, g)  # unions, whose ops are built when read
+    pairs = [
+        (s, C.CdfSeries(s.system, s.expr + 1)),
+        (C.c_derive(C.c_scale(t, 3), 1), C.c_scale(C.c_derive(t, 1), 3)),
+    ]
+    queries = []
+    for a, b in pairs:
+        merged, (ea, eb) = C._shared([a, b])
+        queries.append((merged.core, ea - eb))
+    want = []
+    for core, expr in queries:
+        assert expr.is_constant()
+        pruned, (moved,) = _system.prune(core, [expr])
+        want.append(saturate(moved, pruned.ops, pruned.point, LIMITS))
+
+    def refuse(*args):
+        raise AssertionError("a constant was pruned or its system's ops were built")
+
+    monkeypatch.setattr(_system, "prune", refuse)
+    monkeypatch.setattr(_system, "_gather", refuse)
+    got = [_system.decide(*q, LIMITS) for q in queries]
+    assert queries[0][0]._ops is None
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    assert [v.value for v in got] == [-1, None]
+    assert C.equivalent(*pairs[0], LIMITS).witness == (0, 0)
