@@ -21,7 +21,9 @@ axes for its ops (the Lie derivatives) and exponent vectors for witnesses.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
+from operator import add, itemgetter
 
 from . import _system
 from ._saturation import ZeroVerdict
@@ -214,50 +216,107 @@ def coeff_via_lie(s: CdfSeries, n) -> Fraction:
     return _system.fold_value(s.expr, word, s.system.init)
 
 
-def _eval_on_tables(p: Poly, tables, d: int, N: int) -> TruncSeries:
-    exponents = _packing(len(p.ctx)).exponents
-    out = {}
-    pows = {}
-    for m, c in p.terms.items():
-        term = TruncSeries.const(1, d, N)
-        for key in exponents(m):
-            if key not in pows:
-                v, e = key
-                acc = tables[v]
-                for _ in range(e - 1):
-                    acc = acc * tables[v]
-                pows[key] = acc
-            term = term * pows[key]
-        for n, x in term.coeffs.items():
-            out[n] = out.get(n, 0) + c * x
-    return TruncSeries(d, N, out)
+def _convolve(f: dict, g: list, N: int) -> dict:
+    """The binomial convolution of two integer tables, truncated at total
+    degree N: (f*g)_n = sum over a + b = n of C(n, a) f_a g_b, where
+    C(n, a) is the product of the binomials C(n_j, a_j).  ``g`` is a list
+    of (exponent, total degree, value) by increasing total degree."""
+    acc = {}
+    for a, fa in f.items():
+        room = N - sum(a)
+        for b, size, gb in g:
+            if size > room:
+                break
+            n = tuple(map(add, a, b))
+            w = fa * gb
+            for nj, aj in zip(n, a):
+                w *= comb(nj, aj)
+            acc[n] = acc.get(n, 0) + w
+    return {n: c for n, c in acc.items() if c}
+
+
+class _Products:
+    """The product tables of monomials in the generators, over generator
+    tables truncated at total degree N.  The tables go over one common
+    denominator D once; the table of a degree-k monomial holds integers
+    over D^k and is computed once, from the table of the monomial without
+    its last variable (:func:`_convolve`)."""
+
+    __slots__ = ("N", "den", "packing", "factors", "memo")
+
+    def __init__(self, tables, d: int, N: int):
+        self.N = N
+        self.den = D = lcm(*(c.denominator for t in tables for c in t.values()))
+        self.packing = _packing(len(tables))
+        scaled = [{n: c.numerator * (D // c.denominator) for n, c in t.items()} for t in tables]
+        self.factors = [sorted(((n, sum(n), c) for n, c in t.items()), key=itemgetter(1))
+                        for t in scaled]
+        self.memo = {0: {(0,) * d: 1}}
+        self.memo.update((self.packing.var(v), t) for v, t in enumerate(scaled))
+
+    def __getitem__(self, mono: int) -> dict:
+        table = self.memo.get(mono)
+        if table is None:
+            v, _ = self.packing.exponents(mono)[-1]
+            rest = self[mono - self.packing.var(v)]
+            table = self.memo[mono] = _convolve(rest, self.factors[v], self.N)
+        return table
+
+
+def _eval_on_tables(p: Poly, products: _Products, at) -> list:
+    """The coefficients at the exponents ``at`` of ``p`` evaluated on the
+    tables of ``products``, in order: integer sums over one denominator,
+    one ``Fraction`` per nonzero coefficient, and 0 for the others."""
+    D, top, degree = products.den, p.degree, products.packing.degree
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    terms = [
+        (products[m], c.numerator * (den // c.denominator) * D ** (top - degree(m)))
+        for m, c in p.terms.items()
+    ]
+    den *= D**top
+    out = []
+    for n in at:
+        total = sum(w * table[n] for table, w in terms if n in table)
+        out.append(Fraction(total, den) if total else 0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _layer(d: int, total: int) -> tuple:
+    """The exponents of total degree ``total`` over ``d`` axes, built once:
+    every table keys its coefficients by these tuples."""
+    return tuple(_exponents_of_degree(d, total))
 
 
 def generator_tables(sys: CdfSystem, N: int):
     """Tables of all generator coefficients up to total degree N, filled
-    layer by layer through the kernel recurrence (binomial convolution)."""
-    d, k = sys.dim, sys.order
-    zero = (0,) * d
-    tables = [TruncSeries(d, N, {zero: sys.init[i]}) for i in range(k)]
+    layer by layer through the kernel recurrence: the coefficient at n is
+    the one at n - e_j of the entry along j, the smallest axis of n.  At
+    each layer the tables so far go over one common denominator, each
+    monomial of the entries gets its product table once
+    (:class:`_Products`), and each entry is read at the new layer only."""
+    d = sys.dim
+    (zero,) = _layer(d, 0)
+    tables = [TruncSeries(d, N, {zero: c}) for c in sys.init]
     for layer in range(N):
-        snapshot = [TruncSeries(d, layer, t.coeffs) for t in tables]
-        cache = {}
-        for n in _exponents_of_degree(d, layer + 1):
-            j = next(i for i, v in enumerate(n) if v > 0)  # smallest axis
-            m = tuple(v - 1 if i == j else v for i, v in enumerate(n))
-            for i in range(k):
-                if (i, j) not in cache:
-                    cache[(i, j)] = _eval_on_tables(
-                        sys.lie(j + 1).image(i), snapshot, d, layer
-                    )
-                val = cache[(i, j)][m]
-                if val != 0:
-                    tables[i].coeffs[n] = val
+        products = _Products([t.coeffs for t in tables], d, layer)
+        steps = {}
+        for n in _layer(d, layer + 1):
+            j = next(i for i, v in enumerate(n) if v)  # smallest axis
+            steps.setdefault(j, []).append(n)
+        for j, keys in steps.items():
+            at = [n[:j] + (n[j] - 1,) + n[j + 1 :] for n in keys]
+            for i, t in enumerate(tables):
+                values = _eval_on_tables(sys.lie(j + 1).image(i), products, at)
+                t.coeffs.update((n, v) for n, v in zip(keys, values) if v)
     return tables
 
 
 def coeff_table(s: CdfSeries, N: int, limits=None) -> TruncSeries:
-    """All coefficients of total degree <= N via the dynamic program.
+    """All coefficients of total degree <= N via the dynamic program: the
+    expression evaluated on :func:`generator_tables`, its monomials'
+    product tables over one common denominator (:class:`_Products`), one
+    ``Fraction`` per nonzero coefficient.
 
     Before any table is built, N is compared with the ``max_degree`` cap
     of ``limits`` and the number of coefficients, C(N + d, d) over d axes,
@@ -270,8 +329,12 @@ def coeff_table(s: CdfSeries, N: int, limits=None) -> TruncSeries:
     count = comb(N + s.dim, s.dim)
     if count > limits.max_iterations:
         raise ResourceLimitExceeded("max_iterations", count, limits.max_iterations)
+    d = s.dim
     tables = generator_tables(s.system, N)
-    return _eval_on_tables(s.expr, tables, s.dim, N)
+    products = _Products([t.coeffs for t in tables], d, N)
+    at = [n for total in range(N + 1) for n in _layer(d, total)]
+    values = _eval_on_tables(s.expr, products, at)
+    return TruncSeries._of(d, N, {n: v for n, v in zip(at, values) if v})
 
 
 # Zeroness --------------------------------------------------------------------

@@ -261,9 +261,23 @@ class SpeciesCounts:
     table: TruncSeries
 
     def count(self, n) -> int:
+        """The count at the size vector ``n``.  Raises
+        :class:`ArityMismatch` when ``n`` has another dimension than the
+        table and ``ValueError`` when its total size is past the table's
+        bound, where the table holds no count."""
+        n = tuple(n)
+        if len(n) != self.table.dim:
+            raise ArityMismatch(
+                f"size vector {n} has dimension {len(n)}, the table {self.table.dim}"
+            )
+        if sum(n) > self.table.trunc:
+            raise ValueError(f"size vector {n} is past the table's bound {self.table.trunc}")
         return int(self.table[n])
 
     def univariate_list(self):
+        """The counts at sizes 0..bound of a 1-sort table."""
+        if self.table.dim != 1:
+            raise ArityMismatch(f"a {self.table.dim}-sort table has no univariate list")
         return [int(v) for v in self.table.univariate_list()]
 
 

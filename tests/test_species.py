@@ -240,3 +240,27 @@ def test_two_sorts_through_compose():
         (S.Prod(S.Atom(1), S.Atom(2)),),
     )
     assert S.count_table(two, 2, 5).table == species_egs(two, 2, 5)
+
+
+def test_count_outside_the_table_raises():
+    counts = S.count_table(BELL, 1, 6)
+    assert counts.count((6,)) == 203
+    # Bell(9) = 21147 lies past the bound: no count is read as 0
+    with pytest.raises(ValueError):
+        counts.count((9,))
+    with pytest.raises(ArityMismatch):
+        counts.count((2, 3))
+    with pytest.raises(ArityMismatch):
+        counts.count(())
+    assert S.count_table(BELL, 1, 9).count((9,)) == 21147
+
+
+def test_two_sort_counts_are_bounded_and_not_univariate():
+    counts = S.count_table(S.Prod(S.Set(S.Atom(1)), S.Seq(S.Atom(2))), 2, 4)
+    assert counts.count((1, 3)) == 6
+    with pytest.raises(ValueError):
+        counts.count((2, 3))
+    with pytest.raises(ArityMismatch):
+        counts.count((2,))
+    with pytest.raises(ArityMismatch):
+        counts.univariate_list()
